@@ -10,36 +10,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from sfqsim import bench
 from sfqsim.analog import TransientConfig, run_transient
 from sfqsim.netlist import flatten, parse_netlist
-
-
-def jtl_chain_netlist(pulses, amp, width, stages=5):
-    lines = [
-        "* five-stage JTL chain testbench",
-        ".model jjtl jj(icrit=250u, cap=175f, rn=2.7)",
-    ]
-    lines.append(f"Iin 0 1 " + pwl_pulses(pulses, amp, width))
-    lines.append("Lin 1 n1 2p")
-    for k in range(1, stages + 1):
-        lines.append(f"B{k} n{k} 0 jjtl")
-        lines.append(f"Lb{k} n{k} nb{k} 2p")
-        lines.append(f"Ib{k} 0 nb{k} pwl(0 0 50p 175u)")
-        if k < stages:
-            lines.append(f"L{k} n{k} n{k+1} 4p")
-    lines.append(f"Lout n{stages} nout 2p")
-    lines.append("Rload nout 0 2")
-    tstop = max(pulses) + 100e-12
-    lines.append(f".tran 0.1p {tstop*1e12:.0f}p")
-    return "\n".join(lines)
-
-
-def pwl_pulses(times, amp, width):
-    pts = [(0.0, 0.0)]
-    for t in times:
-        pts += [(t - width / 2, 0.0), (t, amp), (t + width / 2, 0.0)]
-    body = " ".join(f"{t*1e12:.3f}p {v*1e6:.3f}u" for t, v in pts)
-    return f"pwl({body})"
 
 
 def count_slips(events, junction):
@@ -49,8 +22,7 @@ def count_slips(events, junction):
 def main():
     for amp_ua in (300, 400, 500, 600):
         for width_ps in (4, 6, 8):
-            pulses = [100e-12 + 100e-12 * k for k in range(3)]
-            net = jtl_chain_netlist(pulses, amp_ua * 1e-6, width_ps * 1e-12)
+            net = bench.jtl_chain_tb(amp_ua=amp_ua, width_ps=width_ps)
             flat = flatten(parse_netlist(net))
             _, events = run_transient(flat, TransientConfig(dt=0.1e-12))
             first = count_slips(events, "B1")

@@ -6,8 +6,19 @@ companion states. Junctions follow the RCSJ law
     I = Ic*sin(phi) + G*V + C*dV/dt,      V = (PHI0 / 2 pi) * dphi/dt
 
 and integration is trapezoidal with per-step Newton iteration on the sine
-nonlinearity. SFQ pulses are detected as upward crossings of phi through
-pi + 2*pi*k, timestamped by linear interpolation between samples.
+nonlinearity. The unknowns are the node voltages followed by the inductor
+currents. Each element kind has an incidence matrix with one column per
+element (+1 at its pos node, -1 at its neg node, ground dropped), and the
+system is assembled from those: resistors, inductor KCL columns and unit
+inductor rows once per run; the -h/2L inductor rows and the junction
+G + 2C/h once per distinct step h (h only takes the values dt/2^k); and
+the linearised sine term Dj*diag(Ic*a*cos(theta))*Dj^T on each Newton
+iteration. Newton stops when no node voltage moves by NEWTON_VTOL and no
+inductor current by NEWTON_ITOL; a step still moving after
+NEWTON_MAX_ITERS iterations is halved, down to dt/64.
+
+SFQ pulses are detected as upward crossings of phi through pi + 2*pi*k,
+timestamped by linear interpolation between samples.
 """
 
 from __future__ import annotations
@@ -34,6 +45,11 @@ PHI0_OVER_2PI = PHI0 / (2.0 * math.pi)
 # critical current (100 uA/um^2 density, 70 fF/um^2 specific capacitance)
 CAP_PER_AMP = 0.7e-15 / 1e-6
 
+NEWTON_VTOL = 1e-6  # volts
+NEWTON_ITOL = 1e-9  # amperes
+NEWTON_MAX_ITERS = 50
+SLIP_PHASE = math.pi  # slips are upward crossings of SLIP_PHASE + 2*pi*k
+
 
 class SimulationError(RuntimeError):
     """Newton failed to converge even after step halving."""
@@ -52,16 +68,12 @@ class TransientConfig:
     dt: float | None = None        # defaults to the .tran step, else 0.1 ps
     tstop: float | None = None     # defaults to the .tran stop
     tstart: float | None = None    # recording start, defaults to the .tran start
-    newton_abstol_v: float = 1e-6
-    newton_abstol_i: float = 1e-9
-    max_newton_iters: int = 50
-    pulse_threshold: float = math.pi  # crossing levels pi + 2*pi*k
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.newton_abstol_v <= 0 or self.newton_abstol_i <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tstop is not None and self.tstop < 0:
+            raise ValueError("tstop must not be negative")
 
 
 @dataclass(frozen=True)
@@ -151,32 +163,44 @@ class _Engine:
         if not flat.is_flat():
             raise StructuralError("netlist must be flattened before simulation")
         tran = flat.tran()
-        dt = cfg.dt if cfg.dt is not None else (tran.step if tran else 0.1e-12)
+        self.dt = cfg.dt if cfg.dt is not None else (tran.step if tran else 0.1e-12)
         tstop = cfg.tstop if cfg.tstop is not None else (tran.stop if tran else None)
         if tstop is None:
             raise StructuralError("no .tran directive and no tstop override")
-        tstart = cfg.tstart if cfg.tstart is not None else (tran.start if tran else 0.0)
-        self.cfg = cfg
-        self.dt = dt
         self.tstop = tstop
-        self.tstart = tstart
+        self.tstart = cfg.tstart if cfg.tstart is not None else (tran.start if tran else 0.0)
 
         self.node_names = flat.nodes()
-        self.node_index = {n: i for i, n in enumerate(self.node_names)}
-        nn = len(self.node_names)
+        self.nn = nn = len(self.node_names)
+        node_index = {n: i for i, n in enumerate(self.node_names)}
 
-        self.junctions = [e for e in flat.elements if isinstance(e, Junction)]
-        self.inductors = [e for e in flat.elements if isinstance(e, Inductor)]
-        self.resistors = [e for e in flat.elements if isinstance(e, Resistor)]
-        self.sources = [e for e in flat.elements if isinstance(e, CurrentSource)]
+        def of_type(cls):
+            return [e for e in flat.elements if isinstance(e, cls)]
 
-        self.n_unknowns = nn + len(self.inductors)
+        self.junctions = of_type(Junction)
+        self.inductors = of_type(Inductor)
+        resistors = of_type(Resistor)
+        self.sources = of_type(CurrentSource)
+        n = nn + len(self.inductors)
 
-        def nid(node: str) -> int:
-            return -1 if node == GROUND else self.node_index[node]
+        def incidence(elements) -> np.ndarray:
+            D = np.zeros((n, len(elements)))
+            for k, e in enumerate(elements):
+                if e.pos != GROUND:
+                    D[node_index[e.pos], k] += 1.0
+                if e.neg != GROUND:
+                    D[node_index[e.neg], k] -= 1.0
+            return D
 
-        self.j_pos = np.array([nid(j.pos) for j in self.junctions], dtype=int)
-        self.j_neg = np.array([nid(j.neg) for j in self.junctions], dtype=int)
+        self.Dj = incidence(self.junctions)
+        self.Dl = incidence(self.inductors)
+        self.Ds = incidence(self.sources)
+        Dr = incidence(resistors)
+        self.junction_nodes = {
+            j.name: tuple(-1 if p == GROUND else node_index[p] for p in (j.pos, j.neg))
+            for j in self.junctions
+        }
+
         self.j_ic = np.empty(len(self.junctions))
         self.j_cap = np.empty(len(self.junctions))
         self.j_g = np.empty(len(self.junctions))
@@ -187,30 +211,17 @@ class _Engine:
             self.j_ic[k] = model.icrit * j.area
             self.j_cap[k] = _junction_cap(model, j.area)
             self.j_g[k] = _junction_shunt(model)
-
-        self.l_pos = np.array([nid(l.pos) for l in self.inductors], dtype=int)
-        self.l_neg = np.array([nid(l.neg) for l in self.inductors], dtype=int)
         self.l_val = np.array([l.value for l in self.inductors])
-        self.l_unknown = nn + np.arange(len(self.inductors))
 
-        self.src_pos = [nid(s.pos) for s in self.sources]
-        self.src_neg = [nid(s.neg) for s in self.sources]
-
-        # static stamp: resistors and inductor KCL columns (dt-independent part)
-        self.base = np.zeros((self.n_unknowns, self.n_unknowns))
-        for r in self.resistors:
-            g = 1.0 / r.value
-            self._stamp_conductance(self.base, nid(r.pos), nid(r.neg), g)
-        for k in range(len(self.inductors)):
-            p, n, u = self.l_pos[k], self.l_neg[k], self.l_unknown[k]
-            if p >= 0:
-                self.base[p, u] += 1.0
-            if n >= 0:
-                self.base[n, u] -= 1.0
-            self.base[u, u] = 1.0
+        # h-independent part: resistors, inductor currents entering KCL, and the
+        # unit diagonal of the inductor rows
+        self.base = (Dr / np.array([r.value for r in resistors])) @ Dr.T
+        self.base[:, nn:] += self.Dl
+        self.base[nn:, nn:] += np.eye(len(self.inductors))
+        self.systems: dict[float, np.ndarray] = {}  # step h -> its linear matrix
 
         # state
-        self.x = np.zeros(self.n_unknowns)
+        self.x = np.zeros(n)
         self.phi = np.zeros(len(self.junctions))
         self.jv = np.zeros(len(self.junctions))       # junction voltage
         self.jdvdt = np.zeros(len(self.junctions))
@@ -218,33 +229,17 @@ class _Engine:
         self.events: list[PhaseSlipEvent] = []
         self.time = 0.0
 
-    @staticmethod
-    def _stamp_conductance(A: np.ndarray, p: int, n: int, g: float) -> None:
-        if p >= 0:
-            A[p, p] += g
-        if n >= 0:
-            A[n, n] += g
-        if p >= 0 and n >= 0:
-            A[p, n] -= g
-            A[n, p] -= g
-
-    def _matrix_for(self, h: float) -> np.ndarray:
-        A = self.base.copy()
-        for k in range(len(self.inductors)):
-            p, n, u = self.l_pos[k], self.l_neg[k], self.l_unknown[k]
-            c = h / (2.0 * self.l_val[k])
-            if p >= 0:
-                A[u, p] -= c
-            if n >= 0:
-                A[u, n] += c
+    def _system(self, h: float) -> np.ndarray:
+        """The linear part of the step-h matrix: inductor rows and junction G + 2C/h."""
+        A = self.systems.get(h)
+        if A is None:
+            A = self.base.copy()
+            A[self.nn:] -= (h / (2.0 * self.l_val))[:, None] * self.Dl.T
+            A += (self.Dj * (self.j_g + 2.0 * self.j_cap / h)) @ self.Dj.T
+            self.systems[h] = A
         return A
 
-    def _jv_of(self, x: np.ndarray) -> np.ndarray:
-        vp = np.where(self.j_pos >= 0, x[np.maximum(self.j_pos, 0)], 0.0)
-        vn = np.where(self.j_neg >= 0, x[np.maximum(self.j_neg, 0)], 0.0)
-        return vp - vn
-
-    def _step(self, h: float, depth: int) -> None:
+    def _step(self, h: float) -> None:
         """Advance by h, splitting the step on Newton failure."""
         x_new, ok = self._try_step(h)
         if ok:
@@ -252,94 +247,69 @@ class _Engine:
             return
         if h / 2.0 < self.dt / 64.0:
             raise SimulationError("Newton failed to converge", self.time)
-        self._step(h / 2.0, depth + 1)
-        self._step(h / 2.0, depth + 1)
+        self._step(h / 2.0)
+        self._step(h / 2.0)
 
     def _try_step(self, h: float) -> tuple[np.ndarray, bool]:
-        A0 = self._matrix_for(h)
-        b0 = np.zeros(self.n_unknowns)
+        A_h = self._system(h)
         t_new = self.time + h
-
-        for k, s in enumerate(self.sources):
-            cur = s.spec.value_at(t_new)
-            p, n = self.src_pos[k], self.src_neg[k]
-            if p >= 0:
-                b0[p] -= cur
-            if n >= 0:
-                b0[n] += cur
-
-        for k in range(len(self.inductors)):
-            u = self.l_unknown[k]
-            p, n = self.l_pos[k], self.l_neg[k]
-            vb_old = (self.x[p] if p >= 0 else 0.0) - (self.x[n] if n >= 0 else 0.0)
-            b0[u] = self.x[u] + h / (2.0 * self.l_val[k]) * vb_old
+        nn = self.nn
+        b_h = -(self.Ds @ np.array([s.spec.value_at(t_new) for s in self.sources]))
+        b_h[nn:] = self.x[nn:] + h / (2.0 * self.l_val) * (self.Dl.T @ self.x)
 
         a = math.pi * h / PHI0  # phase gain per volt: (2*pi/PHI0)*(h/2)
         phi_hist = self.phi + a * self.jv
         g_cap = 2.0 * self.j_cap / h
         i_hist = -g_cap * self.jv - self.j_cap * self.jdvdt
 
-        x = self.x.copy()
-        nv = len(self.node_names)
-        for _ in range(self.cfg.max_newton_iters):
-            A = A0.copy()
-            b = b0.copy()
-            v_guess = self._jv_of(x)
-            theta = phi_hist + a * v_guess
-            ij = self.j_ic * np.sin(theta) + self.j_g * v_guess + g_cap * v_guess + i_hist
-            gj = self.j_ic * a * np.cos(theta) + self.j_g + g_cap
-            ieq = ij - gj * v_guess
-            for k in range(len(self.junctions)):
-                p, n = self.j_pos[k], self.j_neg[k]
-                self._stamp_conductance(A, p, n, gj[k])
-                if p >= 0:
-                    b[p] -= ieq[k]
-                if n >= 0:
-                    b[n] += ieq[k]
+        x = self.x
+        for _ in range(NEWTON_MAX_ITERS):
+            v = self.Dj.T @ x
+            theta = phi_hist + a * v
+            g_sin = self.j_ic * a * np.cos(theta)
+            A = A_h + (self.Dj * g_sin) @ self.Dj.T
+            b = b_h - self.Dj @ (self.j_ic * np.sin(theta) + i_hist - g_sin * v)
             try:
                 x_new = np.linalg.solve(A, b)
             except np.linalg.LinAlgError as exc:
                 raise StructuralError(f"singular system matrix: {exc}") from exc
-            delta = x_new - x
-            dv = np.abs(delta[:nv]).max() if nv else 0.0
-            di = np.abs(delta[nv:]).max() if self.n_unknowns > nv else 0.0
+            delta = np.abs(x_new - x)
             x = x_new
-            if dv < self.cfg.newton_abstol_v and di < self.cfg.newton_abstol_i:
+            if (delta[:nn] < NEWTON_VTOL).all() and (delta[nn:] < NEWTON_ITOL).all():
                 return x, True
         return x, False
 
     def _accept(self, h: float, x_new: np.ndarray) -> None:
         a = math.pi * h / PHI0
-        jv_new = self._jv_of(x_new)
+        jv_new = self.Dj.T @ x_new
         phi_new = self.phi + a * (self.jv + jv_new)
-        t_new = self.time + h
 
-        for k in range(len(self.junctions)):
-            threshold = self.cfg.pulse_threshold + 2.0 * math.pi * self.slip_count[k]
-            while phi_new[k] >= threshold and self.phi[k] < threshold:
-                frac = (threshold - self.phi[k]) / (phi_new[k] - self.phi[k])
-                t_cross = self.time + frac * h
+        levels = SLIP_PHASE + 2.0 * math.pi * self.slip_count
+        for k in np.flatnonzero(phi_new >= levels):
+            level = levels[k]
+            while phi_new[k] >= level and self.phi[k] < level:
+                frac = (level - self.phi[k]) / (phi_new[k] - self.phi[k])
                 self.events.append(
-                    PhaseSlipEvent(self.junctions[k].name, t_cross, int(self.slip_count[k]))
+                    PhaseSlipEvent(
+                        self.junctions[k].name, self.time + frac * h, int(self.slip_count[k])
+                    )
                 )
                 self.slip_count[k] += 1
-                threshold += 2.0 * math.pi
+                level += 2.0 * math.pi
 
         self.jdvdt = 2.0 * (jv_new - self.jv) / h - self.jdvdt
         self.jv = jv_new
         self.phi = phi_new
         self.x = x_new
-        self.time = t_new
+        self.time += h
 
     def run(self) -> tuple[Waveform, list[PhaseSlipEvent]]:
         nsteps = int(round(self.tstop / self.dt))
-        nn = len(self.node_names)
-        nj = len(self.junctions)
-        nl = len(self.inductors)
+        nn = self.nn
         times = np.empty(nsteps + 1)
         volts = np.empty((nsteps + 1, nn))
-        phases = np.empty((nsteps + 1, nj))
-        il = np.empty((nsteps + 1, nl))
+        phases = np.empty((nsteps + 1, len(self.junctions)))
+        il = np.empty((nsteps + 1, len(self.inductors)))
 
         def record(i: int) -> None:
             times[i] = self.time
@@ -349,16 +319,12 @@ class _Engine:
 
         record(0)
         for i in range(1, nsteps + 1):
-            self._step(self.dt, 0)
+            self._step(self.dt)
             # keep the grid exact despite accumulated float addition
             self.time = i * self.dt
             record(i)
 
         keep = times >= self.tstart - 1e-18
-        junction_nodes = {
-            j.name: (int(self.j_pos[k]), int(self.j_neg[k]))
-            for k, j in enumerate(self.junctions)
-        }
         wave = Waveform(
             times=times[keep],
             node_names=list(self.node_names),
@@ -367,7 +333,7 @@ class _Engine:
             voltages=volts[keep],
             phases=phases[keep],
             inductor_currents=il[keep],
-            junction_nodes=junction_nodes,
+            junction_nodes=self.junction_nodes,
         )
         events = [e for e in self.events if e.time >= self.tstart]
         return wave, events

@@ -10,6 +10,7 @@ simulated concurrently from any number of threads.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 
 PS = 1e-12
@@ -42,8 +43,9 @@ class CellTimings:
             "mcg_spacing",
             "cbu_dead_time",
         ):
-            if getattr(self, name) <= 0:
-                raise CircuitError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise CircuitError(f"{name} must be positive and finite")
 
     @property
     def feedback_delay(self) -> float:
@@ -120,9 +122,6 @@ class BehavioralCircuit:
 
     def feedback_jj_count(self) -> int:
         return sum(self.cells[c].jj_count for c in self.feedback_cells)
-
-    def feedback_path_delay(self) -> float:
-        return self.timings.feedback_delay
 
     def validate(self) -> None:
         """Reject cycles made purely of zero-delay replicator hops."""
@@ -345,48 +344,3 @@ def scaled_timings(base: CellTimings, factors: dict[str, float]) -> CellTimings:
             raise CircuitError(f"unknown timing parameter {name!r}")
         changes[name] = getattr(base, name) * factor
     return replace(base, **changes)
-
-
-def circuit_from_dict(spec: dict) -> BehavioralCircuit:
-    """Build a circuit from a plain-dict description (the JSON circuit file).
-
-    Schema: {"name": str, "timings": {field: picoseconds}, "cells":
-    [{"name", "kind", "capacity"?, "replicas"?}], "nets": {"cell.port":
-    "cell.port"}, "inputs": {ext: "cell.port"}, "outputs": {"cell.port": ext},
-    "feedback_cells": [name...]}. All keys except cells are optional.
-    """
-
-    def endpoint(text: str) -> tuple[str, str]:
-        if "." not in text:
-            raise CircuitError(f"malformed endpoint {text!r} (want cell.port)")
-        cell, port = text.split(".", 1)
-        return cell, port
-
-    timings = CellTimings(
-        **{k: float(v) * PS for k, v in spec.get("timings", {}).items()}
-    )
-    circuit = BehavioralCircuit(name=spec.get("name", "custom"), timings=timings)
-    for cell in spec.get("cells", []):
-        circuit.add_cell(
-            CellInstance(
-                cell["name"],
-                cell["kind"].upper(),
-                capacity=int(cell.get("capacity", 0)),
-                replicas=int(cell.get("replicas", 0)),
-            )
-        )
-    for src, dst in spec.get("nets", {}).items():
-        circuit.connect(endpoint(src), endpoint(dst))
-    for ext, dst in spec.get("inputs", {}).items():
-        circuit.expose_input(ext, endpoint(dst))
-    for src, ext in spec.get("outputs", {}).items():
-        circuit.expose_output(endpoint(src), ext)
-    circuit.feedback_cells = tuple(spec.get("feedback_cells", ()))
-    for name in circuit.feedback_cells:
-        if name not in circuit.cells:
-            raise CircuitError(f"feedback cell {name!r} not defined")
-    for cell, _ in list(circuit.nets.values()) + list(circuit.inputs.values()):
-        if cell not in circuit.cells:
-            raise CircuitError(f"net endpoint references unknown cell {cell!r}")
-    circuit.validate()
-    return circuit

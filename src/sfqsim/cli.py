@@ -151,10 +151,13 @@ def cmd_tran(args) -> int:
         for d in diags:
             print(d, file=sys.stderr)
         return EXIT_FUNCTIONAL
-    cfg = TransientConfig(
-        dt=parse_value(args.dt) if args.dt else None,
-        tstop=parse_value(args.tstop) if args.tstop else None,
-    )
+    try:
+        cfg = TransientConfig(
+            dt=parse_value(args.dt) if args.dt else None,
+            tstop=parse_value(args.tstop) if args.tstop else None,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     try:
         wave, events = run_transient(flatten(netlist), cfg)
     except SimulationError as exc:
@@ -241,11 +244,14 @@ def cmd_margins(args) -> int:
         result = simulate(circuit, schedule.events, tstop)
         return compare_trace(expected, result.outputs, clocks, window=args.window * PS).passed
 
-    spec = MarginSpec(
-        parameters=[(p, getattr(base, p)) for p in params],
-        pass_fn=passes,
-        resolution=args.resolution,
-    )
+    try:
+        spec = MarginSpec(
+            parameters=[(p, getattr(base, p)) for p in params],
+            pass_fn=passes,
+            resolution=args.resolution,
+        )
+    except MarginError as exc:
+        raise CliError(str(exc)) from exc
     try:
         report = margin_sweep(spec)
     except MarginError as exc:

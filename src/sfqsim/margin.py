@@ -8,7 +8,6 @@ regions (islands) instead of silently reporting the inner interval.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +24,6 @@ class MarginSpec:
     pass_fn: Callable[[dict[str, float]], bool]  # maps {param: factor} to pass/fail
     search_bounds: tuple[float, float] = (0.2, 3.0)
     resolution: float = 0.005
-    max_workers: int = 1
 
     def __post_init__(self):
         lo, hi = self.search_bounds
@@ -82,11 +80,6 @@ class MarginReport:
         return self.critical.saturated
 
 
-def critical_margin(report: MarginReport) -> float:
-    """Minimum one-sided margin over all parameters, in percent."""
-    return report.critical_margin_percent
-
-
 def _bisect_edge(
     check: Callable[[float], bool], passing: float, failing: float, resolution: float
 ) -> float:
@@ -138,13 +131,8 @@ def margin_sweep(spec: MarginSpec) -> MarginReport:
         inside = [
             f for f in scan_points if low + spec.resolution < f < high - spec.resolution
         ]
-        if spec.max_workers > 1 and (outside or inside):
-            with ThreadPoolExecutor(max_workers=spec.max_workers) as pool:
-                outside_res = list(pool.map(check, outside))
-                inside_res = list(pool.map(check, inside))
-        else:
-            outside_res = [check(f) for f in outside]
-            inside_res = [check(f) for f in inside]
+        outside_res = [check(f) for f in outside]
+        inside_res = [check(f) for f in inside]
         islands = any(outside_res) or not all(inside_res)
 
         report.per_parameter.append(

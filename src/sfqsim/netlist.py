@@ -578,10 +578,6 @@ def flatten(netlist: Netlist) -> FlatNetlist:
                     )
                 inner_map = {p: map_node(n) for p, n in zip(sub.ports, e.nodes)}
                 expand(sub.elements, f"{prefix}{e.name}.", inner_map, stack + (key,))
-            elif isinstance(e, Junction):
-                flat.elements.append(
-                    replace(e, name=f"{prefix}{e.name}", pos=map_node(e.pos), neg=map_node(e.neg))
-                )
             else:
                 flat.elements.append(
                     replace(e, name=f"{prefix}{e.name}", pos=map_node(e.pos), neg=map_node(e.neg))

@@ -56,10 +56,6 @@ class OracleMachine:
         return OracleEventOutcome(self.state, pulses)
 
 
-def oracle_step(machine: OracleMachine, symbol: str) -> OracleEventOutcome:
-    return machine.step(symbol)
-
-
 def run_oracle(kind: str, symbols: list[str]) -> list[tuple[int, int]]:
     """Fold the machine over a symbol sequence; returns (symbol index, count) per CLK."""
     machine = OracleMachine(kind)

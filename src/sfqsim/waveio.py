@@ -80,7 +80,11 @@ def read_events(text: str) -> list[PulseEvent]:
             continue
         if tokens[0].lower() != "pulse" or len(tokens) != 3:
             raise ScheduleError(f"malformed event line {raw!r}", lineno)
-        events.append(PulseEvent(float(tokens[2]) * PS, tokens[1]))
+        try:
+            time_ps = float(tokens[2])
+        except ValueError:
+            raise ScheduleError(f"malformed time {tokens[2]!r}", lineno) from None
+        events.append(PulseEvent(time_ps * PS, tokens[1]))
     events.sort(key=lambda e: e.time)
     return events
 

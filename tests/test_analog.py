@@ -229,3 +229,27 @@ def test_missing_tran_requires_override():
         flatten(parse_netlist(src)), TransientConfig(dt=1e-12, tstop=20e-12)
     )
     assert wave.times[-1] == pytest.approx(20e-12)
+
+
+def test_floating_junction_orientation_only_flips_its_phase():
+    # B1 has neither terminal on ground; swapping its pos/neg must leave the
+    # circuit unchanged and negate the junction's phase exactly
+    src = """
+.model jm jj(icrit=100u, rn=5)
+I1 0 1 pwl(0 0 20p 250u)
+{junction}
+L1 2 3 2p
+R1 3 0 1
+R2 1 0 20
+.tran 0.1p 100p
+"""
+    runs = [
+        run_transient(flatten(parse_netlist(src.format(junction=j))))
+        for j in ("B1 1 2 jm", "B1 2 1 jm")
+    ]
+    (wave, _), (swapped, _) = runs
+    assert wave.phase("B1").max() > 4 * np.pi  # the junction is in its running state
+    assert np.allclose(wave.voltages, swapped.voltages, rtol=0.0, atol=1e-15)
+    assert np.allclose(wave.inductor_currents, swapped.inductor_currents, rtol=0.0, atol=1e-15)
+    assert np.abs(wave.phase("B1") + swapped.phase("B1")).max() < 1e-12
+    assert np.allclose(wave.junction_voltage("B1"), -swapped.junction_voltage("B1"), atol=1e-15)

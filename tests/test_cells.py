@@ -32,14 +32,14 @@ def out_times_ps(result):
 def test_feedback_overhead_and_delay():
     c = build_ndro()
     assert c.feedback_jj_count() == 12
-    assert c.feedback_path_delay() == pytest.approx(10.5e-12)
+    assert c.timings.feedback_delay == pytest.approx(10.5e-12)
 
 
 def test_feedback_delay_scales_linearly():
     doubled = CellTimings(
         jtl_delay=6e-12, spl_delay=5e-12, cbu_delay=10e-12, mem_delay=10e-12
     )
-    assert build_ndro(doubled).feedback_path_delay() == pytest.approx(21e-12)
+    assert build_ndro(doubled).timings.feedback_delay == pytest.approx(21e-12)
 
 
 def test_jj_count_totals():

@@ -1,5 +1,7 @@
 import pathlib
 
+import pytest
+
 import sfqsim.data
 from sfqsim.cli import main
 
@@ -178,3 +180,22 @@ def test_shipped_schedule_names_resolve_without_paths(capsys):
     )
     assert code == 0
     assert out.count("pulse out") == 9  # counts 1+2+3+2+1+0 across the six reads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tran", str(DATA / "single_jj_tb.cir"), "--dt", "0"],
+        ["tran", str(DATA / "single_jj_tb.cir"), "--tstop=-1p"],
+        ["margins", "ndro", "--schedule", "tb_fig7.sched", "--resolution", "0"],
+        ["oracle", "--kind", "ndro", "--schedule", "tb_fig7.sched", "--events", "{bad}"],
+        ["bsim", "--circuit", "ndro", "--schedule", "tb_fig7.sched", "--timings", "mem_delay=nan"],
+    ],
+)
+def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.events"
+    bad.write_text("pulse out 207.5x\n")
+    code, out, err = run([a.format(bad=bad) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

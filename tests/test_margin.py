@@ -7,7 +7,6 @@ from sfqsim.margin import (
     MarginReport,
     MarginSpec,
     ParameterMargin,
-    critical_margin,
     margin_sweep,
     render_report,
     report_csv,
@@ -28,7 +27,7 @@ def test_recovers_synthetic_interval():
     (p,) = report.per_parameter
     assert p.low == pytest.approx(0.7, abs=spec.resolution)
     assert p.high == pytest.approx(1.5, abs=spec.resolution)
-    assert critical_margin(report) == pytest.approx(30.0, abs=100 * spec.resolution)
+    assert report.critical_margin_percent == pytest.approx(30.0, abs=100 * spec.resolution)
     assert not p.saturated
 
 
@@ -87,18 +86,9 @@ def test_island_regions_are_flagged():
     assert "non-monotone" in render_report(report)
 
 
-def test_parallel_matches_serial():
-    fn = interval_pass_fn(0.55, 1.8)
-    serial = margin_sweep(MarginSpec(parameters=[("p", 1.0)], pass_fn=fn))
-    parallel = margin_sweep(
-        MarginSpec(parameters=[("p", 1.0)], pass_fn=fn, max_workers=4)
-    )
-    assert serial.per_parameter == parallel.per_parameter
-
-
 def test_critical_margin_rules():
     single = MarginReport([ParameterMargin("a", 1.0, 0.8, 1.3)])
-    assert critical_margin(single) == pytest.approx(20.0)
+    assert single.critical_margin_percent == pytest.approx(20.0)
 
     two = MarginReport(
         [
@@ -106,7 +96,7 @@ def test_critical_margin_rules():
             ParameterMargin("b", 1.0, 0.9, 2.0),
         ]
     )
-    assert critical_margin(two) == pytest.approx(10.0)
+    assert two.critical_margin_percent == pytest.approx(10.0)
     assert two.critical_parameter == "b"
 
     saturated = MarginReport(

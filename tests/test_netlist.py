@@ -1,3 +1,6 @@
+import pathlib
+import runpy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -252,6 +255,16 @@ def test_flatten_is_size_monotone(n_inner, n_inst):
 )
 def test_shipped_testbenches_lint_clean(name):
     assert lint(parse_netlist(data.load_text(name))) == []
+
+
+def test_shipped_testbenches_match_their_generator():
+    # run_path does not run the script's main, so nothing is written
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_testbenches.py"
+    files = runpy.run_path(str(script))["FILES"]
+    shipped = pathlib.Path(data.__file__).parent
+    assert sorted(files) == sorted(p.name for p in shipped.glob("*.cir"))
+    for name, text in files.items():
+        assert (shipped / name).read_bytes() == text.encode("utf-8"), name
 
 
 def test_dangling_node_is_an_error():

@@ -9,7 +9,6 @@ from sfqsim.oracle import (
     NDRO,
     OracleMachine,
     compare_trace,
-    oracle_step,
     run_oracle,
 )
 
@@ -20,7 +19,7 @@ _symbols = st.lists(st.sampled_from(("SET", "RST", "CLK")), max_size=30)
 def test_ndro_clock_in_set_state_emits_one():
     m = OracleMachine(NDRO)
     m.step("SET")
-    outcome = oracle_step(m, "CLK")
+    outcome = m.step("CLK")
     assert outcome.new_state == 1
     assert outcome.output_pulse_count == 1
 
