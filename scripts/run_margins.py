@@ -15,35 +15,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sfqsim import bench, data
 from sfqsim.analog import FluxoidLoop, count_fluxons, run_transient
-from sfqsim.cells import CellTimings, CircuitError, build_mndro, build_ndro
-from sfqsim.cells import scaled_timings, simulate
-from sfqsim.margin import MarginSpec, margin_sweep, render_report, report_csv
+from sfqsim.margin import MarginSpec, margin_sweep, render_report, report_csv, timing_spec
 from sfqsim.netlist import flatten, parse_netlist
-from sfqsim.oracle import compare_trace, run_oracle
 from sfqsim.waveio import read_schedule
-
-
-def behavioral_report(kind: str, fname: str, build):
-    base = CellTimings()
-    sched = read_schedule(data.load_text(fname))
-    expected = [c for _, c in run_oracle(kind, [e.port.upper() for e in sched.events])]
-    clocks = sched.times_on("clk")
-    tstop = max(e.time for e in sched.events) + 200e-12
-
-    def passes(factors):
-        try:
-            circuit = build(scaled_timings(base, factors))
-        except CircuitError:
-            return False
-        result = simulate(circuit, sched.events, tstop)
-        return compare_trace(expected, result.outputs, clocks).passed
-
-    params = ["jtl_delay", "spl_delay", "cbu_delay", "mem_delay"]
-    if kind.startswith("mndro"):
-        params.append("mcg_spacing")
-    return margin_sweep(
-        MarginSpec(parameters=[(p, getattr(base, p)) for p in params], pass_fn=passes)
-    )
 
 
 def analog_storage_report():
@@ -77,13 +51,9 @@ def main():
     parser.add_argument("--skip-analog", action="store_true")
     args = parser.parse_args()
 
-    jobs = [
-        ("ndro", "tb_fig7.sched", build_ndro),
-        ("mndro-rst", "tb_fig8.sched", lambda t=None: build_mndro(True, t)),
-        ("mndro-dec", "tb_fig10.sched", lambda t=None: build_mndro(False, t)),
-    ]
-    for kind, fname, build in jobs:
-        report = behavioral_report(kind, fname, build)
+    for kind, fname in data.SCHEDULES.items():
+        sched = read_schedule(data.load_text(fname))
+        report = margin_sweep(timing_spec(kind, sched.events))
         print(f"== behavioral {kind}")
         print(render_report(report))
         if args.csv:

@@ -13,64 +13,15 @@ from itertools import product
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from sfqsim import bench
 from sfqsim.analog import FluxoidLoop, TransientConfig, loop_fluxoid, run_transient
 from sfqsim.netlist import flatten, parse_netlist
 
-# M-NDRO parameter column: holds ~1.18 PHI0 with junction inductances included
-MNDRO = dict(
-    L1=1.89, L2=7.36, L3=2.14, L4=2.33, L5=4.10, L6=3.91,
-    L7=1.73, L8=0.66, L9=1.71, L10=0.45, L11=1.84,
-    J1=382, J2=311, J3=365, J4=341, J5=274, J6=158, J7=256,
-    J8=230, J9=263, J10=372, J11=270,
-    R1=5.42, R2=7.59, R3=10.34, R4=8.67, R5=9.17,
-)
-
 
 def rdff_netlist(p, biases, events, tstop_ps=600):
-    def model(name, ic_ua):
-        cap = ic_ua * 0.7
-        rn = (2.067833848e-15 / (6.283185307 * ic_ua * 1e-6 * cap * 1e-15)) ** 0.5
-        return f".model {name} jj(icrit={ic_ua}u, cap={cap}f, rn={rn:.3f})"
-
-    lines = ["* RDFF tuning testbench"]
-    for jn in ("J1", "J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10", "J11"):
-        lines.append(model(f"m{jn.lower()}", p[jn]))
-    lines += [
-        # set branch: in -> L1 -> s1(J2) -> L3 -> s2 -J3-> storage node 2
-        "L1 set s1 %(L1)sp" % p,
-        "B2 s1 0 mj2",
-        "L3 s1 s2 %(L3)sp" % p,
-        "B3 s2 2 mj3",
-        # storage loop B1-L2-L6-B6-B7
-        "B1 2 0 mj1",
-        "L2 2 3 %(L2)sp" % p,
-        "L6 3 4 %(L6)sp" % p,
-        "B6 4 5 mj6",
-        "B7 5 0 mj7",
-        # clock branch into the comparator top node 4
-        "L4 clk c1 %(L4)sp" % p,
-        "B10 c1 0 mj10",
-        "L5 c1 c2 %(L5)sp" % p,
-        "B4 c2 4 mj4",
-        # reset branch into loop node 3
-        "L9 rst r1 %(L9)sp" % p,
-        "B9 r1 0 mj9",
-        "L10 r1 r2 %(L10)sp" % p,
-        "B5 r2 3 mj5",
-        # output branch from comparator midpoint 5
-        "L7 5 o1 %(L7)sp" % p,
-        "B8 o1 0 mj8",
-        "L8 o1 o2 %(L8)sp" % p,
-        "B11 o2 0 mj11",
-        "L11 o2 out %(L11)sp" % p,
-        "Rload out 0 2",
-        # shunts
-        "R1 2 0 %(R1)s" % p,
-        "R2 4 5 %(R2)s" % p,
-        "R3 5 0 %(R3)s" % p,
-        "R4 o1 0 %(R4)s" % p,
-        "R5 c1 0 %(R5)s" % p,
-    ]
+    """The bare cell, flat, with a load, trial biases and input pulses."""
+    lines = ["* RDFF tuning testbench"] + bench.rdff_models(p) + bench.rdff_elements(p)
+    lines.append("Rload out 0 2")
     for i, (node, ua) in enumerate(biases.items()):
         if ua:
             lines.append(f"LB{i} {node} nb{i} 2p")
@@ -100,7 +51,7 @@ def main():
         biases = {"2": b2, "4": b4, "o1": b5}
         try:
             flat, wave, ev, loop = run(
-                MNDRO,
+                bench.MNDRO_PARAMS,
                 biases,
                 [("set", 100, *set_drive), ("clk", 200, *clk_drive), ("clk", 300, *clk_drive)],
                 tstop_ps=400,

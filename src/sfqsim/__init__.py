@@ -27,9 +27,9 @@ from .cells import (
     build_ndro,
     simulate,
 )
-from .margin import MarginReport, MarginSpec, margin_sweep
+from .margin import MarginReport, MarginSpec, margin_sweep, timing_spec
 from .netlist import Netlist, flatten, format_netlist, lint, parse_netlist
-from .oracle import OracleMachine, Verdict, compare_trace, run_oracle
+from .oracle import OracleMachine, Verdict, check_trace, compare_trace, run_oracle
 from .waveio import PulseSchedule, read_schedule, write_events
 
 __version__ = "0.1.0"

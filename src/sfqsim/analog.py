@@ -67,7 +67,6 @@ class StructuralError(RuntimeError):
 class TransientConfig:
     dt: float | None = None        # defaults to the .tran step, else 0.1 ps
     tstop: float | None = None     # defaults to the .tran stop
-    tstart: float | None = None    # recording start, defaults to the .tran start
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0:
@@ -168,7 +167,7 @@ class _Engine:
         if tstop is None:
             raise StructuralError("no .tran directive and no tstop override")
         self.tstop = tstop
-        self.tstart = cfg.tstart if cfg.tstart is not None else (tran.start if tran else 0.0)
+        self.tstart = tran.start if tran else 0.0  # recording start
 
         self.node_names = flat.nodes()
         self.nn = nn = len(self.node_names)

@@ -162,8 +162,13 @@ def mcg_tb(amp_ua: float = MCG_DRIVE_UA, width_ps: float = MCG_DRIVE_WIDTH_PS) -
 MCG_OUTPUT_JUNCTION = "B3"
 
 
-def rdff_cell(params: dict, name: str = "rdff") -> list[str]:
-    """Reconstructed set/reset flip-flop cell as a subcircuit.
+def rdff_models(params: dict) -> list[str]:
+    """Model cards mj1 ... mj11 for the cell junctions J1 ... J11."""
+    return [_jj_model(f"mj{k}", params[f"J{k}"]) for k in range(1, 12)]
+
+
+def rdff_elements(params: dict) -> list[str]:
+    """The 27 junctions, inductors and shunts of the set/reset flip-flop cell.
 
     Storage loop is B1-L2-L6-B6-B7; set, clock, and reset branches enter
     through buffered junctions with series couplers; output leaves from the
@@ -171,8 +176,7 @@ def rdff_cell(params: dict, name: str = "rdff") -> list[str]:
     this cell is a structural reference, not a timing-accurate replica.
     """
     p = params
-    lines = [f".subckt {name} set clk rst out"]
-    lines += [
+    return [
         "L1 set s1 %(L1)sp" % p,
         "B2 s1 0 mj2",
         "L3 s1 s2 %(L3)sp" % p,
@@ -201,6 +205,12 @@ def rdff_cell(params: dict, name: str = "rdff") -> list[str]:
         "R4 o1 0 %(R4)s" % p,
         "R5 c1 0 %(R5)s" % p,
     ]
+
+
+def rdff_cell(params: dict, name: str = "rdff") -> list[str]:
+    """Reconstructed set/reset flip-flop cell as a biased subcircuit."""
+    p = params
+    lines = [f".subckt {name} set clk rst out"] + rdff_elements(p)
     for i, (node, ic_key) in enumerate(
         [("s1", "J2"), ("c1", "J10"), ("o1", "J8"), ("o2", "J11")], start=1
     ):
@@ -214,12 +224,8 @@ def rdff_cell(params: dict, name: str = "rdff") -> list[str]:
 def rdff_cell_tb(params: dict | None = None, label: str = "ndro") -> str:
     """Full cell testbench: set, two clocks, reset, one more clock."""
     p = params or NDRO_PARAMS
-    lines = [
-        f"* {label} memory cell testbench (reconstructed topology, see README)",
-    ]
-    for jn in ("J1", "J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10", "J11"):
-        lines.append(_jj_model(f"m{jn.lower()}", p[jn]))
-    lines += rdff_cell(p)
+    lines = [f"* {label} memory cell testbench (reconstructed topology, see README)"]
+    lines += rdff_models(p) + rdff_cell(p)
     lines += [
         "X1 nset nclk nrst nout rdff",
         "Iset 0 nset pulse(100p 500u 8p)",

@@ -1,10 +1,10 @@
 """Delay-annotated behavioral cell library and discrete-event simulation.
 
-Cells: JTL (repeater), SPL (splitter), CBU (confluence buffer), DFF
-(destructive 1-bit readout), MEM (multi-fluxon set/reset memory unit),
-MCG/RG (pulse replicators on the clock/reset paths). Circuits are static
-graphs; all per-run state lives in the simulator, so a circuit can be
-simulated concurrently from any number of threads.
+Cells: JTL (repeater), SPL (splitter), CBU (confluence buffer), MEM
+(multi-fluxon set/reset memory unit), MCG/RG (pulse replicators on the
+clock/reset paths). Circuits are static graphs; all per-run state lives in
+the simulator, so a circuit can be simulated concurrently from any number
+of threads.
 """
 
 from __future__ import annotations
@@ -12,10 +12,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 PS = 1e-12
+SETTLING_WINDOW = 20e-12  # closer input pulses on one port draw a warning
+STOP_MARGIN = 200e-12  # default run length past the last input pulse
 
-JJ_COUNTS = {"JTL": 2, "SPL": 3, "CBU": 7, "DFF": 3, "MEM": 11, "MCG": 3, "RG": 3}
+JJ_COUNTS = {"JTL": 2, "SPL": 3, "CBU": 7, "MEM": 11, "MCG": 3, "RG": 3}
 
 # external input ports are applied in this order at equal timestamps
 _PORT_PRIORITY = {"set": 0, "rst": 1, "clk": 2}
@@ -67,15 +70,13 @@ class CellTimings:
 class CellInstance:
     name: str
     kind: str
-    capacity: int = 0  # MEM/DFF
+    capacity: int = 0  # MEM
     replicas: int = 0  # MCG/RG
 
     def __post_init__(self):
         if self.kind not in JJ_COUNTS:
             raise CircuitError(f"unknown cell kind {self.kind!r}")
-        if self.kind == "DFF" and self.capacity == 0:
-            object.__setattr__(self, "capacity", 1)
-        if self.kind in ("MEM", "DFF") and self.capacity < 1:
+        if self.kind == "MEM" and self.capacity < 1:
             raise CircuitError(f"{self.name}: storage cells need capacity >= 1")
         if self.kind in ("MCG", "RG") and self.replicas < 1:
             raise CircuitError(f"{self.name}: replicators need replicas >= 1")
@@ -203,9 +204,9 @@ def build_mndro(with_rg: bool = True, timings: CellTimings | None = None) -> Beh
 
 
 BUILTIN_CIRCUITS = {
-    "ndro": lambda t=None: build_ndro(t),
-    "mndro-rst": lambda t=None: build_mndro(True, t),
-    "mndro-dec": lambda t=None: build_mndro(False, t),
+    "ndro": build_ndro,
+    "mndro-rst": partial(build_mndro, True),
+    "mndro-dec": partial(build_mndro, False),
 }
 
 
@@ -228,16 +229,18 @@ class SimResult:
 def simulate(
     circuit: BehavioralCircuit,
     schedule: list[PulseEvent],
-    tstop: float,
-    settling_window: float = 20e-12,
+    tstop: float | None = None,
     record_trace: bool = False,
 ) -> SimResult:
     """Run the deterministic event queue over external input pulses.
 
-    Returns output pulses on the external ports sorted by time. Input pulses
-    closer than the settling window on one port produce a warning, not an
-    error. Simultaneous external events apply in set, rst, clk order.
+    Returns output pulses on the external ports sorted by time; `tstop`
+    defaults to the last input plus STOP_MARGIN. Input pulses closer than
+    SETTLING_WINDOW on one port produce a warning, not an error. Simultaneous
+    external events apply in set, rst, clk order.
     """
+    if tstop is None:
+        tstop = max((e.time for e in schedule), default=0.0) + STOP_MARGIN
     circuit.validate()
     warnings: list[str] = []
     last_on_port: dict[str, float] = {}
@@ -249,10 +252,10 @@ def simulate(
         if ev.time >= tstop:
             raise CircuitError(f"event at {ev.time} not before tstop {tstop}")
         prev = last_on_port.get(ev.port)
-        if prev is not None and ev.time - prev < settling_window:
+        if prev is not None and ev.time - prev < SETTLING_WINDOW:
             warnings.append(
                 f"pulses on {ev.port} {ev.time / PS:.3f} ps and {prev / PS:.3f} ps "
-                f"are closer than the {settling_window / PS:.0f} ps settling window"
+                f"are closer than the {SETTLING_WINDOW / PS:.0f} ps settling window"
             )
         last_on_port[ev.port] = ev.time
 
@@ -270,9 +273,7 @@ def simulate(
         cell, port = circuit.inputs[ev.port]
         push(ev.time, cell, port)
 
-    mem_state = {
-        name: 0 for name, cell in circuit.cells.items() if cell.kind in ("MEM", "DFF")
-    }
+    mem_state = {name: 0 for name, cell in circuit.cells.items() if cell.kind == "MEM"}
     cbu_last_arrival = {
         name: float("-inf")
         for name, cell in circuit.cells.items()
@@ -312,7 +313,7 @@ def simulate(
         elif cell.kind in ("MCG", "RG"):
             for k in range(cell.replicas):
                 emit(time + k * t.mcg_spacing, cell_name, "out")
-        elif cell.kind in ("MEM", "DFF"):
+        elif cell.kind == "MEM":
             state = mem_state[cell_name]
             if port == "set":
                 mem_state[cell_name] = min(state + 1, cell.capacity)

@@ -3,9 +3,7 @@
 Subcommands: lint, tran, bsim, oracle, margins, capacity. Exit codes:
 0 success, 1 functional failure (lint errors, oracle mismatch, failing
 nominal margin), 2 input error (paths, parse), 3 numerical failure
-(non-convergent transient). Outputs are written atomically. SFQSIM_SEED is
-accepted for forward compatibility; the engines are deterministic and
-ignore it.
+(non-convergent transient). Outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -22,13 +20,13 @@ from .analog import run_transient, storage_capacity
 from .cells import (
     BUILTIN_CIRCUITS,
     PS,
+    STOP_MARGIN,
     CellTimings,
     CircuitError,
     PulseEvent,
-    scaled_timings,
     simulate,
 )
-from .margin import MarginError, MarginSpec, margin_sweep, render_report, report_csv
+from .margin import MarginError, margin_sweep, render_report, report_csv, timing_spec
 from .netlist import (
     Inductor,
     Junction,
@@ -38,7 +36,7 @@ from .netlist import (
     parse_netlist,
     parse_value,
 )
-from .oracle import KINDS, compare_trace, run_oracle
+from .oracle import check_trace
 from .waveio import (
     ScheduleError,
     read_events,
@@ -53,6 +51,8 @@ EXIT_OK = 0
 EXIT_FUNCTIONAL = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+WINDOW_HELP = "minimum clock spacing, ps; an output pulse counts for the clock period it lands in"
 
 
 class CliError(Exception):
@@ -123,15 +123,6 @@ def _parse_timings(pairs: list[str]) -> CellTimings:
         raise CliError(str(exc)) from exc
 
 
-def _build_circuit(name: str, timings: CellTimings):
-    if name not in BUILTIN_CIRCUITS:
-        raise CliError(f"unknown circuit {name!r} (choose from {sorted(BUILTIN_CIRCUITS)})")
-    try:
-        return BUILTIN_CIRCUITS[name](timings)
-    except CircuitError as exc:
-        raise CliError(str(exc), EXIT_FUNCTIONAL) from exc
-
-
 def cmd_lint(args) -> int:
     netlist = _load_netlist(args.netlist)
     diags = lint(netlist)
@@ -181,11 +172,14 @@ def cmd_tran(args) -> int:
 
 def cmd_bsim(args) -> int:
     timings = _parse_timings(args.timings)
-    circuit = _build_circuit(args.circuit, timings)
+    if args.circuit not in BUILTIN_CIRCUITS:
+        raise CliError(f"unknown circuit {args.circuit!r} (choose from {sorted(BUILTIN_CIRCUITS)})")
+    try:
+        circuit = BUILTIN_CIRCUITS[args.circuit](timings)
+    except CircuitError as exc:
+        raise CliError(str(exc), EXIT_FUNCTIONAL) from exc
     schedule = _load_schedule(args.schedule)
-    tstop = parse_value(args.tstop) if args.tstop else (
-        max((e.time for e in schedule.events), default=0.0) + 200e-12
-    )
+    tstop = parse_value(args.tstop) if args.tstop else None
     try:
         result = simulate(circuit, schedule.events, tstop)
     except CircuitError as exc:
@@ -203,15 +197,10 @@ def cmd_bsim(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.kind not in KINDS:
-        raise CliError(f"unknown oracle kind {args.kind!r} (choose from {KINDS})")
     schedule = _load_schedule(args.schedule)
     observed = read_events(_read_file(args.events))
-    symbols = [e.port.upper() for e in schedule.events]
-    expected = [count for _, count in run_oracle(args.kind, symbols)]
-    clocks = schedule.times_on("clk")
     try:
-        verdict = compare_trace(expected, observed, clocks, window=args.window * PS)
+        verdict = check_trace(args.kind, schedule.events, observed, window=args.window * PS)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     print(verdict)
@@ -221,39 +210,21 @@ def cmd_oracle(args) -> int:
 def cmd_margins(args) -> int:
     base = _parse_timings(args.timings)
     schedule = _load_schedule(args.schedule)
-    kind = args.target
-    symbols = [e.port.upper() for e in schedule.events]
-    expected = [count for _, count in run_oracle(kind, symbols)]
-    clocks = schedule.times_on("clk")
-    tstop = max(e.time for e in schedule.events) + 200e-12
-
-    params = ["jtl_delay", "spl_delay", "cbu_delay", "mem_delay"]
-    if kind.startswith("mndro"):
-        params.append("mcg_spacing")
-    if args.param:
-        unknown = set(args.param) - set(params)
-        if unknown:
-            raise CliError(f"unknown sweep parameter(s): {sorted(unknown)}")
-        params = args.param
-
-    def passes(factors: dict[str, float]) -> bool:
-        try:
-            circuit = _build_circuit(kind, scaled_timings(base, factors))
-        except CliError:
-            return False
-        result = simulate(circuit, schedule.events, tstop)
-        return compare_trace(expected, result.outputs, clocks, window=args.window * PS).passed
-
     try:
-        spec = MarginSpec(
-            parameters=[(p, getattr(base, p)) for p in params],
-            pass_fn=passes,
+        spec = timing_spec(
+            args.target,
+            schedule.events,
+            base,
+            args.param or None,
+            window=args.window * PS,
             resolution=args.resolution,
         )
-    except MarginError as exc:
+    except (ValueError, MarginError) as exc:
         raise CliError(str(exc)) from exc
     try:
         report = margin_sweep(spec)
+    except CircuitError as exc:  # the nominal run rejects the schedule
+        raise CliError(str(exc)) from exc
     except MarginError as exc:
         print(f"margin sweep failed: {exc}", file=sys.stderr)
         return EXIT_FUNCTIONAL
@@ -332,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bsim", help="behavioral simulation of a built-in circuit")
     p.add_argument("--circuit", required=True, help="ndro | mndro-rst | mndro-dec")
     p.add_argument("--schedule", required=True, help="pulse schedule file (or shipped name)")
-    p.add_argument("--tstop", help="stop time (default: last event + 200 ps)")
+    p.add_argument("--tstop", help=f"stop time (default: last event + {STOP_MARGIN / PS:g} ps)")
     p.add_argument("--events", help="output event file (default: stdout)")
     p.add_argument("--vcd", help="VCD dump path")
     p.add_argument("--timings", nargs="*", metavar="KEY=PS", help="timing overrides in ps")
@@ -342,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, help="ndro | mndro-rst | mndro-dec")
     p.add_argument("--schedule", required=True)
     p.add_argument("--events", required=True)
-    p.add_argument("--window", type=float, default=50.0, help="grouping window, ps")
+    p.add_argument("--window", type=float, default=50.0, help=WINDOW_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("margins", help="behavioral timing-margin sweep")
     p.add_argument("target", help="ndro | mndro-rst | mndro-dec")
     p.add_argument("--schedule", required=True)
     p.add_argument("--resolution", type=float, default=0.005)
-    p.add_argument("--window", type=float, default=50.0, help="grouping window, ps")
+    p.add_argument("--window", type=float, default=50.0, help=WINDOW_HELP)
     p.add_argument("--param", nargs="*", help="subset of timing parameters to sweep")
     p.add_argument("--timings", nargs="*", metavar="KEY=PS")
     p.add_argument("--out", help="CSV report path")

@@ -4,14 +4,28 @@ Each parameter is scaled independently (all others at nominal) and the
 largest failure-free factor interval containing 1.0 is bisected to the
 requested resolution. A coarse 16-point scan flags non-monotone pass
 regions (islands) instead of silently reporting the inner interval.
+`timing_spec` builds the behavioral sweep: cell delays scaled one at a time,
+with agreement with the reference machine as the pass criterion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .cells import (
+    BUILTIN_CIRCUITS,
+    CellTimings,
+    CircuitError,
+    PulseEvent,
+    scaled_timings,
+    simulate,
+)
+from .oracle import trace_checker
+
 ISLAND_SCAN_POINTS = 16
+TIMING_PARAMS = ("jtl_delay", "spl_delay", "cbu_delay", "mem_delay")
 
 
 class MarginError(RuntimeError):
@@ -27,10 +41,10 @@ class MarginSpec:
 
     def __post_init__(self):
         lo, hi = self.search_bounds
-        if not (lo < 1.0 < hi):
-            raise MarginError("search bounds must contain 1.0")
-        if self.resolution <= 0:
-            raise MarginError("resolution must be positive")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < 1.0 < hi):
+            raise MarginError("search bounds must be finite and contain 1.0")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise MarginError("resolution must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,43 @@ def margin_sweep(spec: MarginSpec) -> MarginReport:
             ParameterMargin(name, nominal, low, high, sat_low, sat_high, islands)
         )
     return report
+
+
+def timing_spec(
+    kind: str,
+    schedule: list[PulseEvent],
+    base: CellTimings | None = None,
+    params: list[str] | None = None,
+    window: float = 50e-12,
+    resolution: float = 0.005,
+) -> MarginSpec:
+    """Timing margins of a built-in circuit: a point passes when a run of
+    `schedule` matches the reference machine of `kind`.
+
+    `params` defaults to the wiring and memory delays, plus `mcg_spacing` on
+    the multi-fluxon circuits. The kind, the parameters, the resolution and
+    the oracle side of the check are all settled here, so a bad input raises
+    (ValueError or MarginError) before any point is simulated.
+    """
+    if kind not in BUILTIN_CIRCUITS:
+        raise ValueError(f"unknown circuit {kind!r} (choose from {sorted(BUILTIN_CIRCUITS)})")
+    build = BUILTIN_CIRCUITS[kind]
+    base = base or CellTimings()
+    known = TIMING_PARAMS + (("mcg_spacing",) if kind.startswith("mndro") else ())
+    params = known if params is None else params
+    unknown = set(params) - set(known)
+    if unknown:
+        raise ValueError(f"unknown sweep parameter(s): {sorted(unknown)}")
+    judge = trace_checker(kind, schedule, window)
+
+    def passes(factors: dict[str, float]) -> bool:
+        try:
+            circuit = build(scaled_timings(base, factors))
+        except CircuitError:
+            return False
+        return judge(simulate(circuit, schedule).outputs).passed
+
+    return MarginSpec([(p, getattr(base, p)) for p in params], passes, resolution=resolution)
 
 
 def render_report(report: MarginReport) -> str:

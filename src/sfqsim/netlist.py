@@ -21,6 +21,7 @@ is kept as the netlist title (SPICE convention); `format_netlist` re-emits it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -58,6 +59,7 @@ def parse_value(token: str, lineno: int | None = None) -> float:
 
     The suffix shifts the decimal exponent before conversion, so the result
     is the float nearest the decimal literal (e.g. "2.09p" == 2.09e-12).
+    Literals that overflow to infinity are rejected.
     """
     m = _VALUE_RE.match(token.strip())
     if not m:
@@ -66,7 +68,10 @@ def parse_value(token: str, lineno: int | None = None) -> float:
     exp = int(exponent) if exponent else 0
     if suffix:
         exp += SUFFIX_EXPONENTS[suffix.lower()]
-    return float(f"{mantissa}e{exp}")
+    value = float(f"{mantissa}e{exp}")
+    if not math.isfinite(value):
+        raise NetlistError(f"value {token!r} is not finite", lineno)
+    return value
 
 
 def format_value(v: float) -> str:

@@ -9,9 +9,11 @@ index without changing it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
-from .cells import PulseEvent
+from .cells import PS, PulseEvent
 
 NDRO = "ndro"
 MNDRO_RESET = "mndro-rst"
@@ -32,7 +34,7 @@ class OracleMachine:
 
     def __init__(self, kind: str):
         if kind not in KINDS:
-            raise ValueError(f"unknown oracle kind {kind!r}")
+            raise ValueError(f"unknown oracle kind {kind!r} (choose from {list(KINDS)})")
         self.kind = kind
         self.state = 0
 
@@ -80,31 +82,33 @@ class Verdict:
         return f"FAIL clk={self.clk_index} expected={self.expected} observed={self.observed}"
 
 
+def _check_clocks(clock_times: list[float], window: float) -> None:
+    if not window > 0:
+        raise ValueError("window must be positive")
+    if not all(t1 - t0 >= window for t0, t1 in zip(clock_times, clock_times[1:])):
+        raise ValueError(f"clocks must be at least the window ({window / PS:g} ps) apart")
+
+
 def compare_trace(
     expected_counts: list[int],
     observed: list[PulseEvent],
     clock_times: list[float],
     window: float = 50e-12,
 ) -> Verdict:
-    """Group observed output pulses into per-clock windows and check the counts.
+    """Attribute each observed output pulse to its clock period and check the counts.
 
-    A pulse is attributed to the latest clock at or before it; pulses landing
-    outside every [clk, clk+window) interval still count against the clock
-    they follow, so spurious outputs fail the comparison.
+    A pulse belongs to the latest clock at or before it, however long after
+    that clock it lands, so spurious outputs fail the comparison; a pulse
+    before the first clock is reported against clock 0 as a negative count.
+    `window` is only the minimum spacing the clocks must keep.
     """
     if len(expected_counts) != len(clock_times):
         raise ValueError("one expected count per clock time is required")
-    if any(t1 - t0 < window for t0, t1 in zip(clock_times, clock_times[1:])):
-        raise ValueError("clock period shorter than the grouping window")
+    _check_clocks(clock_times, window)
     counts = [0] * len(clock_times)
     stray_before_first = 0
-    for ev in sorted(observed, key=lambda e: e.time):
-        idx = -1
-        for i, tc in enumerate(clock_times):
-            if ev.time >= tc:
-                idx = i
-            else:
-                break
+    for ev in observed:
+        idx = bisect_right(clock_times, ev.time) - 1
         if idx < 0:
             stray_before_first += 1
         else:
@@ -115,3 +119,27 @@ def compare_trace(
         if want != got:
             return Verdict(False, i, want, got)
     return Verdict(True)
+
+
+def trace_checker(
+    kind: str, schedule: list[PulseEvent], window: float = 50e-12
+) -> Callable[[list[PulseEvent]], Verdict]:
+    """Run the reference machine over an input schedule once; return its judge.
+
+    Each input port names its symbol (set -> SET, ...) and the clock times are
+    those of the CLK pulses. Raises ValueError for an unknown kind or symbol,
+    or for clocks closer than `window`, before anything is compared. The
+    returned function checks the output pulses of one run of the schedule.
+    """
+    symbols = [e.port.upper() for e in schedule]
+    expected = [count for _, count in run_oracle(kind, symbols)]
+    clocks = [e.time for e, sym in zip(schedule, symbols) if sym == "CLK"]
+    _check_clocks(clocks, window)
+    return lambda observed: compare_trace(expected, observed, clocks, window)
+
+
+def check_trace(
+    kind: str, schedule: list[PulseEvent], observed: list[PulseEvent], window: float = 50e-12
+) -> Verdict:
+    """Judge the output pulses of one run of `schedule` against the reference machine."""
+    return trace_checker(kind, schedule, window)(observed)

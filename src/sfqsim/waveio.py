@@ -7,6 +7,7 @@ All outputs are UTF-8 with LF line endings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .cells import PS, PulseEvent
@@ -32,6 +33,16 @@ def _fmt_ps(t: float) -> str:
     return f"{t / PS:.3f}"
 
 
+def _parse_ps(token: str, lineno: int) -> float:
+    try:
+        time_ps = float(token)
+    except ValueError:
+        raise ScheduleError(f"malformed time {token!r}", lineno) from None
+    if not math.isfinite(time_ps):
+        raise ScheduleError(f"time {token!r} is not finite", lineno)
+    return time_ps
+
+
 def read_schedule(text: str) -> PulseSchedule:
     """Parse `port <name>` declarations and `pulse <port> <time_ps>` events."""
     sched = PulseSchedule()
@@ -55,10 +66,7 @@ def read_schedule(text: str) -> PulseSchedule:
             port = tokens[1]
             if port not in declared:
                 raise ScheduleError(f"undeclared port {port!r}", lineno)
-            try:
-                time_ps = float(tokens[2])
-            except ValueError:
-                raise ScheduleError(f"malformed time {tokens[2]!r}", lineno) from None
+            time_ps = _parse_ps(tokens[2], lineno)
             if time_ps < 0:
                 raise ScheduleError("negative pulse time", lineno)
             sched.events.append(PulseEvent(time_ps * PS, port))
@@ -80,11 +88,7 @@ def read_events(text: str) -> list[PulseEvent]:
             continue
         if tokens[0].lower() != "pulse" or len(tokens) != 3:
             raise ScheduleError(f"malformed event line {raw!r}", lineno)
-        try:
-            time_ps = float(tokens[2])
-        except ValueError:
-            raise ScheduleError(f"malformed time {tokens[2]!r}", lineno) from None
-        events.append(PulseEvent(time_ps * PS, tokens[1]))
+        events.append(PulseEvent(_parse_ps(tokens[2], lineno) * PS, tokens[1]))
     events.sort(key=lambda e: e.time)
     return events
 

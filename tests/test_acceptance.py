@@ -26,9 +26,9 @@ from sfqsim.cells import (
     build_ndro,
     simulate,
 )
-from sfqsim.margin import MarginSpec, margin_sweep
+from sfqsim.margin import MarginSpec, margin_sweep, timing_spec
 from sfqsim.netlist import flatten, parse_netlist
-from sfqsim.oracle import compare_trace, run_oracle
+from sfqsim.oracle import check_trace, run_oracle
 from sfqsim.waveio import read_schedule, write_events
 
 PS = 1e-12
@@ -54,7 +54,7 @@ def test_criterion_1_ndro_golden_scenario():
     # loaded value appears on every clock until reset; silence after reset
     expected = [c for _, c in run_oracle("ndro", [e.port.upper() for e in sched.events])]
     assert expected == [1, 0, 1, 1]
-    assert compare_trace(expected, result.outputs, sched.times_on("clk")).passed
+    assert check_trace("ndro", sched.events, result.outputs).passed
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     verdict(1, "behavioral NDRO golden trace")
@@ -192,26 +192,11 @@ def test_criterion_9_margin_engine():
         assert abs(p.high - high) <= 0.005
 
     # behavioral delay sweep: every parameter margin at least +-20 percent
-    base = CellTimings()
     sched = read_schedule(data.load_text("tb_fig7.sched"))
-    symbols = [e.port.upper() for e in sched.events]
-    expected = [c for _, c in run_oracle("ndro", symbols)]
-    clocks = sched.times_on("clk")
-
-    from sfqsim.cells import scaled_timings
-
-    def passes(factors):
-        try:
-            circuit = build_ndro(scaled_timings(base, factors))
-        except CircuitError:
-            return False
-        result = simulate(circuit, sched.events, tstop=1.2e-9)
-        return compare_trace(expected, result.outputs, clocks).passed
-
-    params = ["jtl_delay", "spl_delay", "cbu_delay", "mem_delay"]
-    report = margin_sweep(
-        MarginSpec(parameters=[(p, getattr(base, p)) for p in params], pass_fn=passes)
-    )
+    report = margin_sweep(timing_spec("ndro", sched.events))
+    assert [p.name for p in report.per_parameter] == [
+        "jtl_delay", "spl_delay", "cbu_delay", "mem_delay"
+    ]
     for p in report.per_parameter:
         assert p.low <= 0.8, f"{p.name} low margin {p.low}"
         assert p.high >= 1.2, f"{p.name} high margin {p.high}"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_matches, random_symbols, schedule_from_symbols
 from sfqsim.cells import (
+    BUILTIN_CIRCUITS,
     BehavioralCircuit,
     CellInstance,
     CellTimings,
@@ -153,6 +154,22 @@ def test_unknown_port_and_negative_time_rejected():
         simulate(c, [PulseEvent(-1e-12, "set")], tstop=1e-9)
 
 
+def test_default_tstop_is_last_input_plus_200_ps():
+    sched = [ev(20, "set"), ev(120, "clk")]
+    # the read-out leaves mem_delay + 2.5 ps after the clock at 120 ps; tstop is 320 ps
+    kept = simulate(build_ndro(CellTimings(mem_delay=197e-12)), sched)
+    assert out_times_ps(kept) == [319.5]
+    assert simulate(build_ndro(CellTimings(mem_delay=198e-12)), sched).outputs == []
+
+
+def test_builtin_circuits_map_kinds_to_builders():
+    assert set(BUILTIN_CIRCUITS) == {"ndro", "mndro-rst", "mndro-dec"}
+    t = CellTimings(mem_delay=6e-12)
+    for kind, build in BUILTIN_CIRCUITS.items():
+        assert build().name == kind
+        assert build(t).timings == t
+
+
 def test_simulate_is_pure():
     c = build_mndro(False)
     sched = [ev(100, "set"), ev(200, "clk"), ev(300, "clk")]
@@ -173,15 +190,9 @@ def test_readout_is_non_destructive(seed):
     """After any schedule, one extra clock re-reads the same count."""
     rng = random.Random(seed)
     symbols = random_symbols(rng, 10)
-    kind = rng.choice(("ndro", "mndro-rst", "mndro-dec"))
-    circuit = {
-        "ndro": build_ndro,
-        "mndro-rst": lambda: build_mndro(True),
-        "mndro-dec": lambda: build_mndro(False),
-    }[kind]()
+    circuit = BUILTIN_CIRCUITS[rng.choice(list(BUILTIN_CIRCUITS))]()
     events = schedule_from_symbols(symbols + ["CLK", "CLK"])
-    tstop = events[-1].time + 200e-12
-    result = simulate(circuit, events, tstop)
+    result = simulate(circuit, events)
     t_probe1, t_probe2 = events[-2].time, events[-1].time
     count1 = sum(1 for e in result.outputs if t_probe1 <= e.time < t_probe2)
     count2 = sum(1 for e in result.outputs if e.time >= t_probe2)
@@ -192,9 +203,5 @@ def test_readout_is_non_destructive(seed):
 def test_behavioral_matches_oracle_on_random_schedules(seed):
     rng = random.Random(seed)
     symbols = random_symbols(rng, 12)
-    for kind, build in (
-        ("ndro", build_ndro),
-        ("mndro-rst", lambda: build_mndro(True)),
-        ("mndro-dec", lambda: build_mndro(False)),
-    ):
+    for kind, build in BUILTIN_CIRCUITS.items():
         assert oracle_matches(build(), kind, symbols)

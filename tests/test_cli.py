@@ -182,20 +182,56 @@ def test_shipped_schedule_names_resolve_without_paths(capsys):
     assert out.count("pulse out") == 9  # counts 1+2+3+2+1+0 across the six reads
 
 
+BAD_FILES = {
+    "bad_events": "pulse out 207.5x\n",
+    "inf_events": "pulse out inf\n",
+    "good_events": "pulse out 207.500\n",
+    "foo_sched": "port set\nport foo\nport clk\npulse set 100\npulse foo 150\npulse clk 200\n",
+    "upper_sched": "port SET\nport clk\npulse SET 100\npulse clk 200\n",
+    "nan_sched": "port clk\npulse clk nan\n",
+    "big_sched": "port clk\npulse clk 1e400\n",
+    "big_cir": "R1 1 0 5\nB1 1 0 jj1\n.model jj1 jj(icrit=100u)\n.tran 0.1p 1e400\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["tran", str(DATA / "single_jj_tb.cir"), "--dt", "0"],
         ["tran", str(DATA / "single_jj_tb.cir"), "--tstop=-1p"],
         ["margins", "ndro", "--schedule", "tb_fig7.sched", "--resolution", "0"],
-        ["oracle", "--kind", "ndro", "--schedule", "tb_fig7.sched", "--events", "{bad}"],
+        ["oracle", "--kind", "ndro", "--schedule", "tb_fig7.sched", "--events", "{bad_events}"],
         ["bsim", "--circuit", "ndro", "--schedule", "tb_fig7.sched", "--timings", "mem_delay=nan"],
+        ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "1e400"],
+        ["tran", "{big_cir}"],
+        ["margins", "ndro", "--schedule", "tb_fig7.sched", "--resolution", "nan"],
+        ["margins", "ndro", "--schedule", "tb_fig7.sched", "--window", "150"],
+        ["margins", "foo", "--schedule", "tb_fig7.sched"],
+        ["margins", "ndro", "--schedule", "{foo_sched}"],
+        ["margins", "ndro", "--schedule", "{upper_sched}"],
+        ["oracle", "--kind", "ndro", "--schedule", "tb_fig7.sched", "--events", "{inf_events}"],
+        ["oracle", "--kind", "ndro", "--schedule", "{foo_sched}", "--events", "{good_events}"],
+        ["oracle", "--kind", "foo", "--schedule", "tb_fig7.sched", "--events", "{good_events}"],
+        ["oracle", "--kind", "ndro", "--schedule", "tb_fig7.sched", "--events", "{good_events}",
+         "--window", "nan"],
+        ["bsim", "--circuit", "ndro", "--schedule", "{nan_sched}"],
+        ["bsim", "--circuit", "ndro", "--schedule", "{big_sched}"],
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):
-    bad = tmp_path / "bad.events"
-    bad.write_text("pulse out 207.5x\n")
-    code, out, err = run([a.format(bad=bad) for a in argv], capsys)
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run([a.format_map({n: tmp_path / n for n in BAD_FILES}) for a in argv], capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_margins_with_failing_nominal_exits_1(capsys):
+    code, out, err = run(
+        ["margins", "mndro-rst", "--schedule", "tb_fig8.sched", "--timings", "mcg_spacing=8"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "margin sweep failed: nominal fails\n"

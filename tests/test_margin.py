@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfqsim import data
+from sfqsim.cells import CellTimings, PulseEvent
 from sfqsim.margin import (
+    TIMING_PARAMS,
     MarginError,
     MarginReport,
     MarginSpec,
@@ -10,7 +13,9 @@ from sfqsim.margin import (
     margin_sweep,
     render_report,
     report_csv,
+    timing_spec,
 )
+from sfqsim.waveio import read_schedule
 
 
 def interval_pass_fn(low, high):
@@ -115,3 +120,52 @@ def test_csv_rendering():
 def test_bounds_must_contain_nominal():
     with pytest.raises(MarginError):
         MarginSpec(parameters=[], pass_fn=lambda f: True, search_bounds=(1.5, 3.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.01])
+def test_resolution_must_be_positive_and_finite(value):
+    with pytest.raises(MarginError, match="resolution"):
+        MarginSpec(parameters=[], pass_fn=lambda f: True, resolution=value)
+
+
+@pytest.mark.parametrize("bounds", [(0.2, float("inf")), (float("-inf"), 3.0), (0.2, float("nan"))])
+def test_search_bounds_must_be_finite(bounds):
+    # an infinite bound would make the edge bisection loop forever
+    with pytest.raises(MarginError, match="finite"):
+        MarginSpec(parameters=[], pass_fn=lambda f: True, search_bounds=bounds)
+
+
+def test_timing_spec_parameters_and_pass_function():
+    sched = read_schedule(data.load_text("tb_fig7.sched"))
+    spec = timing_spec("ndro", sched.events)
+    assert [name for name, _ in spec.parameters] == list(TIMING_PARAMS)
+    assert spec.parameters[0] == ("jtl_delay", CellTimings().jtl_delay)
+    assert spec.pass_fn({}) and spec.pass_fn({"mem_delay": 2.0})
+    # a slow memory returns its reload after the reset, so the memory refills
+    assert not spec.pass_fn({"mem_delay": 25.0})
+    fig8 = read_schedule(data.load_text("tb_fig8.sched"))
+    spec = timing_spec("mndro-rst", fig8.events, base=CellTimings(mem_delay=6e-12))
+    assert [name for name, _ in spec.parameters][-1] == "mcg_spacing"
+    assert dict(spec.parameters)["mem_delay"] == 6e-12
+    # a replication spacing the composition rule forbids is a failing point
+    assert not spec.pass_fn({"mcg_spacing": 3.0})
+    subset = timing_spec("mndro-dec", fig8.events, params=["mcg_spacing"], resolution=0.05)
+    assert (subset.parameters, subset.resolution) == ([("mcg_spacing", 4e-12)], 0.05)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        (dict(kind="dff"), "unknown circuit"),
+        (dict(params=["mcg_spacing"]), r"unknown sweep parameter\(s\): \['mcg_spacing'\]"),
+        (dict(window=150e-12), r"at least the window \(150 ps\) apart"),
+        (dict(window=float("nan")), "window"),
+        (dict(resolution=float("nan")), "resolution"),
+        (dict(schedule=[PulseEvent(1e-10, "foo")]), "unknown input symbol 'FOO'"),
+    ],
+)
+def test_timing_spec_rejects_bad_inputs_when_built(kwargs, error):
+    args = dict(kind="ndro", schedule=read_schedule(data.load_text("tb_fig7.sched")).events)
+    args.update(kwargs)
+    with pytest.raises((ValueError, MarginError), match=error):
+        timing_spec(**args)

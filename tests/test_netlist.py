@@ -128,6 +128,13 @@ def test_suffix_parsing_is_exact(mantissa, suffix):
     assert parse_value(text) == float(f"{mantissa}e{SUFFIX_EXPONENTS[suffix]}")
 
 
+def test_non_finite_values_rejected():
+    with pytest.raises(NetlistError, match="not finite"):
+        parse_value("1e400")
+    with pytest.raises(NetlistError, match="line 3: value '1e400' is not finite"):
+        parse_netlist("R1 1 0 5\nR2 1 0 1\n.tran 0.1p 1e400")
+
+
 def test_suffix_examples():
     assert parse_value("2.28p") == 2.28e-12
     assert parse_value("2.09p") == 2.09e-12

@@ -8,6 +8,7 @@ from sfqsim.oracle import (
     MNDRO_RESET,
     NDRO,
     OracleMachine,
+    check_trace,
     compare_trace,
     run_oracle,
 )
@@ -96,6 +97,51 @@ def test_compare_trace_pass_and_fail():
 def test_compare_trace_rejects_overlapping_windows():
     with pytest.raises(ValueError, match="window"):
         compare_trace([0, 0], [], [0.0, 30e-12], window=50e-12)
+
+
+@pytest.mark.parametrize("window", [0.0, -1e-12, float("nan")])
+def test_compare_trace_rejects_non_positive_window(window):
+    with pytest.raises(ValueError, match="window must be positive"):
+        compare_trace([0], [], [100e-12], window=window)
+
+
+def test_pulse_on_a_clock_time_counts_for_that_clock():
+    clocks = [100e-12, 200e-12, 300e-12]
+    verdict = compare_trace([0, 1, 0], _events([200.0]), clocks)
+    assert verdict.passed
+    assert not compare_trace([1, 0, 0], _events([200.0]), clocks).passed
+
+
+def test_compare_trace_does_not_need_sorted_pulses():
+    clocks = [100e-12, 200e-12, 300e-12]
+    assert compare_trace([1, 0, 2], _events([311.5, 107.5, 307.5]), clocks).passed
+
+
+def test_check_trace_runs_the_oracle_over_the_schedule():
+    schedule = [
+        PulseEvent(100e-12, "set"),
+        PulseEvent(200e-12, "clk"),
+        PulseEvent(300e-12, "rst"),
+        PulseEvent(400e-12, "clk"),
+    ]
+    assert check_trace(NDRO, schedule, _events([207.5])).passed
+    verdict = check_trace(NDRO, schedule, _events([207.5, 407.5]))
+    assert (verdict.clk_index, verdict.expected, verdict.observed) == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, port, clk_ps, error",
+    [
+        ("dff", "set", 200.0, "unknown oracle kind"),
+        (NDRO, "foo", 200.0, "unknown input symbol 'FOO'"),
+        (NDRO, "set", 120.0, r"at least the window \(50 ps\) apart"),
+    ],
+)
+def test_check_trace_rejects_bad_inputs(kind, port, clk_ps, error):
+    schedule = [PulseEvent(50e-12, port), PulseEvent(100e-12, "clk")]
+    schedule.append(PulseEvent(clk_ps * PS, "clk"))
+    with pytest.raises(ValueError, match=error):
+        check_trace(kind, schedule, [])
 
 
 def test_compare_trace_counts_stray_pulses_against_their_clock():

@@ -39,6 +39,14 @@ def test_malformed_and_negative_times():
         read_schedule("port clk\npulse clk -5")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_times_rejected(token):
+    with pytest.raises(ScheduleError, match="not finite"):
+        read_schedule(f"port clk\npulse clk {token}")
+    with pytest.raises(ScheduleError, match="line 2: time .* is not finite"):
+        read_events(f"pulse out 100\npulse out {token}")
+
+
 def test_shipped_scenario_schedule_has_ten_events():
     sched = read_schedule(data.load_text("tb_fig8.sched"))
     assert len(sched.events) == 10
