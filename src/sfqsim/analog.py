@@ -6,16 +6,28 @@ companion states. Junctions follow the RCSJ law
     I = Ic*sin(phi) + G*V + C*dV/dt,      V = (PHI0 / 2 pi) * dphi/dt
 
 and integration is trapezoidal with per-step Newton iteration on the sine
-nonlinearity. The unknowns are the node voltages followed by the inductor
+nonlinearity. The unknowns x are the node voltages followed by the inductor
 currents. Each element kind has an incidence matrix with one column per
-element (+1 at its pos node, -1 at its neg node, ground dropped), and the
-system is assembled from those: resistors, inductor KCL columns and unit
-inductor rows once per run; the -h/2L inductor rows and the junction
-G + 2C/h once per distinct step h (h only takes the values dt/2^k); and
-the linearised sine term Dj*diag(Ic*a*cos(theta))*Dj^T on each Newton
-iteration. Newton stops when no node voltage moves by NEWTON_VTOL and no
-inductor current by NEWTON_ITOL; a step still moving after
-NEWTON_MAX_ITERS iterations is halved, down to dt/64.
+element (+1 at its pos node, -1 at its neg node, ground dropped). The linear
+step matrix A_h holds the resistors, the inductor KCL columns and
+trapezoidal inductor rows (unit diagonal, -h/2L) and the junction G + 2C/h.
+
+Only the nj junction currents are nonlinear, so Newton runs on the junction
+voltages v = Dj^T x. Once per distinct step h (h only takes the values
+dt/2^k) the engine inverts A_h and caches P = A_h^-1 Dj, M = Dj^T P, the
+inductor-history map Q and the source map S. Each step forms the linear
+response x_lin = Q x + S s(t) and u = Dj^T x_lin; each Newton iteration then
+solves the nj x nj system
+
+    (I + M diag(g)) v = u - M w0,    g = Ic*a*cos(theta),
+                                     w0 = Ic*sin(theta) + i_hist - g*v
+
+and recovers x = x_lin - P (w0 + g v). By the Woodbury identity this is the
+iterate of the full n x n Newton step A_h + Dj diag(g) Dj^T, so A_h must be
+nonsingular: every node needs a resistive, capacitive or inductive path, and
+a junction with cap=0 needs an rn or r0 shunt. Newton stops when no node
+voltage moves by NEWTON_VTOL and no inductor current by NEWTON_ITOL; a step
+still moving after NEWTON_MAX_ITERS iterations is halved, down to dt/64.
 
 SFQ pulses are detected as upward crossings of phi through pi + 2*pi*k,
 timestamped by linear interpolation between samples.
@@ -71,8 +83,6 @@ class TransientConfig:
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.tstop is not None and self.tstop < 0:
-            raise ValueError("tstop must not be negative")
 
 
 @dataclass(frozen=True)
@@ -168,6 +178,10 @@ class _Engine:
             raise StructuralError("no .tran directive and no tstop override")
         self.tstop = tstop
         self.tstart = tran.start if tran else 0.0  # recording start
+        if not self.tstart < tstop:
+            raise StructuralError(
+                f"stop time {tstop:g} s must be after the start time {self.tstart:g} s"
+            )
 
         self.node_names = flat.nodes()
         self.nn = nn = len(self.node_names)
@@ -211,13 +225,17 @@ class _Engine:
             self.j_cap[k] = _junction_cap(model, j.area)
             self.j_g[k] = _junction_shunt(model)
         self.l_val = np.array([l.value for l in self.inductors])
+        self.eye_j = np.eye(len(self.junctions))
 
         # h-independent part: resistors, inductor currents entering KCL, and the
         # unit diagonal of the inductor rows
         self.base = (Dr / np.array([r.value for r in resistors])) @ Dr.T
         self.base[:, nn:] += self.Dl
         self.base[nn:, nn:] += np.eye(len(self.inductors))
-        self.systems: dict[float, np.ndarray] = {}  # step h -> its linear matrix
+        # Newton tolerance per unknown: volts on node rows, amperes on inductor rows
+        self.tol = np.full(n, NEWTON_VTOL)
+        self.tol[nn:] = NEWTON_ITOL
+        self.systems: dict[float, tuple[np.ndarray, ...]] = {}  # step h -> _system(h)
 
         # state
         self.x = np.zeros(n)
@@ -225,18 +243,35 @@ class _Engine:
         self.jv = np.zeros(len(self.junctions))       # junction voltage
         self.jdvdt = np.zeros(len(self.junctions))
         self.slip_count = np.zeros(len(self.junctions), dtype=int)
+        self.next_level = np.full(len(self.junctions), SLIP_PHASE)
         self.events: list[PhaseSlipEvent] = []
         self.time = 0.0
 
-    def _system(self, h: float) -> np.ndarray:
-        """The linear part of the step-h matrix: inductor rows and junction G + 2C/h."""
-        A = self.systems.get(h)
-        if A is None:
+    def _system(self, h: float) -> tuple[np.ndarray, ...]:
+        """The maps of the step-h linear system: (P, M, Q, S), see the module docstring."""
+        maps = self.systems.get(h)
+        if maps is None:
+            nn = self.nn
+            hl = h / (2.0 * self.l_val)
             A = self.base.copy()
-            A[self.nn:] -= (h / (2.0 * self.l_val))[:, None] * self.Dl.T
+            A[nn:] -= hl[:, None] * self.Dl.T
             A += (self.Dj * (self.j_g + 2.0 * self.j_cap / h)) @ self.Dj.T
-            self.systems[h] = A
-        return A
+            try:
+                A_inv = np.linalg.inv(A)
+            except np.linalg.LinAlgError:
+                bare = [self.node_names[i] for i in np.flatnonzero(~A[:nn].any(axis=1))]
+                where = f" at node(s) {', '.join(bare)}" if bare else ""
+                raise StructuralError(
+                    f"singular system matrix{where}: every node needs a resistive, capacitive"
+                    " or inductive path (a junction with cap=0 needs rn or r0)"
+                ) from None
+            P = A_inv @ self.Dj
+            # inductor rows of the right-hand side: x_L + h/2L * Dl^T x
+            hist = hl[:, None] * self.Dl.T
+            hist[:, nn:] += np.eye(len(self.inductors))
+            maps = (P, self.Dj.T @ P, A_inv[:, nn:] @ hist, -A_inv @ self.Ds)
+            self.systems[h] = maps
+        return maps
 
     def _step(self, h: float) -> None:
         """Advance by h, splitting the step on Newton failure."""
@@ -250,31 +285,29 @@ class _Engine:
         self._step(h / 2.0)
 
     def _try_step(self, h: float) -> tuple[np.ndarray, bool]:
-        A_h = self._system(h)
+        P, M, Q, S = self._system(h)
         t_new = self.time + h
-        nn = self.nn
-        b_h = -(self.Ds @ np.array([s.spec.value_at(t_new) for s in self.sources]))
-        b_h[nn:] = self.x[nn:] + h / (2.0 * self.l_val) * (self.Dl.T @ self.x)
+        x_lin = Q @ self.x + S @ np.array([s.spec.value_at(t_new) for s in self.sources])
+        u = self.Dj.T @ x_lin
 
         a = math.pi * h / PHI0  # phase gain per volt: (2*pi/PHI0)*(h/2)
         phi_hist = self.phi + a * self.jv
-        g_cap = 2.0 * self.j_cap / h
-        i_hist = -g_cap * self.jv - self.j_cap * self.jdvdt
+        i_hist = -self.j_cap * (2.0 / h * self.jv + self.jdvdt)
+        ic_a = self.j_ic * a
 
-        x = self.x
+        x, v = self.x, self.jv
         for _ in range(NEWTON_MAX_ITERS):
-            v = self.Dj.T @ x
             theta = phi_hist + a * v
-            g_sin = self.j_ic * a * np.cos(theta)
-            A = A_h + (self.Dj * g_sin) @ self.Dj.T
-            b = b_h - self.Dj @ (self.j_ic * np.sin(theta) + i_hist - g_sin * v)
+            g_sin = ic_a * np.cos(theta)
+            w0 = self.j_ic * np.sin(theta) + i_hist - g_sin * v
             try:
-                x_new = np.linalg.solve(A, b)
+                v = np.linalg.solve(self.eye_j + M * g_sin, u - M @ w0)
             except np.linalg.LinAlgError as exc:
                 raise StructuralError(f"singular system matrix: {exc}") from exc
-            delta = np.abs(x_new - x)
+            x_new = x_lin - P @ (w0 + g_sin * v)
+            converged = (np.abs(x_new - x) < self.tol).all()
             x = x_new
-            if (delta[:nn] < NEWTON_VTOL).all() and (delta[nn:] < NEWTON_ITOL).all():
+            if converged:
                 return x, True
         return x, False
 
@@ -283,20 +316,22 @@ class _Engine:
         jv_new = self.Dj.T @ x_new
         phi_new = self.phi + a * (self.jv + jv_new)
 
-        levels = SLIP_PHASE + 2.0 * math.pi * self.slip_count
-        for k in np.flatnonzero(phi_new >= levels):
-            level = levels[k]
-            while phi_new[k] >= level and self.phi[k] < level:
-                frac = (level - self.phi[k]) / (phi_new[k] - self.phi[k])
-                self.events.append(
-                    PhaseSlipEvent(
-                        self.junctions[k].name, self.time + frac * h, int(self.slip_count[k])
+        crossed = phi_new >= self.next_level
+        if crossed.any():
+            for k in np.flatnonzero(crossed):
+                level = self.next_level[k]
+                while phi_new[k] >= level and self.phi[k] < level:
+                    frac = (level - self.phi[k]) / (phi_new[k] - self.phi[k])
+                    self.events.append(
+                        PhaseSlipEvent(
+                            self.junctions[k].name, self.time + frac * h, int(self.slip_count[k])
+                        )
                     )
-                )
-                self.slip_count[k] += 1
-                level += 2.0 * math.pi
+                    self.slip_count[k] += 1
+                    level += 2.0 * math.pi
+            self.next_level = SLIP_PHASE + 2.0 * math.pi * self.slip_count
 
-        self.jdvdt = 2.0 * (jv_new - self.jv) / h - self.jdvdt
+        self.jdvdt = (jv_new - self.jv) * (2.0 / h) - self.jdvdt
         self.jv = jv_new
         self.phi = phi_new
         self.x = x_new

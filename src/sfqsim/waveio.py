@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cells import PS, PulseEvent
 
 
@@ -117,12 +119,11 @@ def write_waveform_csv(waveform) -> str:
         + [f"v({n})" for n in waveform.node_names]
         + [f"phase({j})" for j in waveform.junction_names]
     )
+    rows = np.column_stack([waveform.times / PS, waveform.voltages, waveform.phases])
+    # one %-template per sample; "%.3f"/"%.9e" format exactly as f"{x:.3f}"/f"{x:.9e}"
+    row = "%.3f" + ",%.9e" * (rows.shape[1] - 1)
     lines = [",".join(header)]
-    for i, t in enumerate(waveform.times):
-        row = [_fmt_ps(float(t))]
-        row += [f"{v:.9e}" for v in waveform.voltages[i]]
-        row += [f"{p:.9e}" for p in waveform.phases[i]]
-        lines.append(",".join(row))
+    lines += [row % tuple(values) for values in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -174,12 +175,10 @@ def write_vcd_waveform(waveform, module: str = "sfqsim") -> str:
         f"$var real 64 {ident} {name} $end" for ident, name in zip(idents, names)
     ]
     lines += ["$upscope $end", "$enddefinitions $end"]
+    # one %-template per sample: "#<tick>" then "r<value> <ident>" per variable;
+    # np.round rounds half to even, as round() does
+    sample = "#%d" + "".join(f"\nr%.9e {ident.replace('%', '%%')}" for ident in idents)
     fs = 1e-15
-    ncols = len(waveform.node_names)
-    for i, t in enumerate(waveform.times):
-        lines.append(f"#{int(round(float(t) / fs))}")
-        for k in range(ncols):
-            lines.append(f"r{waveform.voltages[i, k]:.9e} {idents[k]}")
-        for k in range(len(waveform.junction_names)):
-            lines.append(f"r{waveform.phases[i, k]:.9e} {idents[ncols + k]}")
+    rows = np.column_stack([np.round(waveform.times / fs), waveform.voltages, waveform.phases])
+    lines += [sample % tuple(values) for values in rows.tolist()]
     return "\n".join(lines) + "\n"

@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from sfqsim import bench, data
 from sfqsim.analog import (
+    NEWTON_ITOL,
+    NEWTON_MAX_ITERS,
+    NEWTON_VTOL,
     PHI0,
     FluxoidLoop,
     StructuralError,
     TransientConfig,
+    _Engine,
     count_fluxons,
     loop_fluxoid,
     pulse_area,
@@ -124,6 +130,54 @@ def test_slip_events_are_ordered_with_consecutive_indices(single_jj):
         assert [e.index for e in evs] == list(range(len(evs)))
 
 
+class _FullSpaceEngine(_Engine):
+    """Reference step: Newton over all node and inductor unknowns, one n x n solve per iteration."""
+
+    def _try_step(self, h):
+        nn = self.nn
+        A_h = self.base.copy()
+        A_h[nn:] -= (h / (2.0 * self.l_val))[:, None] * self.Dl.T
+        A_h += (self.Dj * (self.j_g + 2.0 * self.j_cap / h)) @ self.Dj.T
+        t_new = self.time + h
+        b_h = -(self.Ds @ np.array([s.spec.value_at(t_new) for s in self.sources]))
+        b_h[nn:] = self.x[nn:] + h / (2.0 * self.l_val) * (self.Dl.T @ self.x)
+
+        a = math.pi * h / PHI0
+        phi_hist = self.phi + a * self.jv
+        i_hist = -2.0 * self.j_cap / h * self.jv - self.j_cap * self.jdvdt
+        x = self.x
+        for _ in range(NEWTON_MAX_ITERS):
+            v = self.Dj.T @ x
+            theta = phi_hist + a * v
+            g_sin = self.j_ic * a * np.cos(theta)
+            A = A_h + (self.Dj * g_sin) @ self.Dj.T
+            b = b_h - self.Dj @ (self.j_ic * np.sin(theta) + i_hist - g_sin * v)
+            x_new = np.linalg.solve(A, b)
+            delta = np.abs(x_new - x)
+            x = x_new
+            if (delta[:nn] < NEWTON_VTOL).all() and (delta[nn:] < NEWTON_ITOL).all():
+                return x, True
+        return x, False
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        data.load_text("single_jj_tb.cir"),
+        data.load_text("mndro_cell_tb.cir"),
+        bench.jtl_chain_tb(stages=19),
+    ],
+    ids=["single_jj_tb", "mndro_cell_tb", "jtl_chain_tb19"],
+)
+def test_junction_subspace_newton_matches_full_space_step(text):
+    flat = flatten(parse_netlist(text))
+    wave, events = run_transient(flat)
+    ref_wave, ref_events = _FullSpaceEngine(flat, TransientConfig()).run()
+    assert np.abs(wave.phases - ref_wave.phases).max() < 1e-9
+    assert [(e.junction, e.index) for e in events] == [(e.junction, e.index) for e in ref_events]
+    assert max(abs(e.time - r.time) for e, r in zip(events, ref_events)) < 1e-15
+
+
 # --- fluxon counting ----------------------------------------------------------
 
 
@@ -210,15 +264,23 @@ def test_jtl_chain_conserves_pulses():
 
 
 def test_singular_structure_raises():
-    src = """
+    floating = """
 I1 0 1 dc 1u
 I2 1 0 dc 1u
 R9 5 0 1
 R8 5 0 1
 .tran 1p 10p
 """
-    with pytest.raises(StructuralError):
-        run_transient(flatten(parse_netlist(src)))
+    # a junction with cap=0 and no rn/r0 leaves its node without a linear path
+    unshunted = """
+B1 1 0 jm
+I1 0 1 pwl(0 0 50p 50u)
+.model jm jj(icrit=100u, cap=0)
+.tran 0.1p 100p
+"""
+    for src in (floating, unshunted):
+        with pytest.raises(StructuralError, match=r"at node\(s\) 1:"):
+            run_transient(flatten(parse_netlist(src)))
 
 
 def test_missing_tran_requires_override():

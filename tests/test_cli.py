@@ -191,6 +191,9 @@ BAD_FILES = {
     "nan_sched": "port clk\npulse clk nan\n",
     "big_sched": "port clk\npulse clk 1e400\n",
     "big_cir": "R1 1 0 5\nB1 1 0 jj1\n.model jj1 jj(icrit=100u)\n.tran 0.1p 1e400\n",
+    # node 1 has only a cap=0, unshunted junction: the step matrix is singular
+    "cap0_cir": "B1 1 0 jm\nI1 0 1 pwl(0 0 50p 50u)\n.model jm jj(icrit=100u, cap=0)\n"
+    ".tran 0.1p 100p\n",
 }
 
 
@@ -216,6 +219,8 @@ BAD_FILES = {
          "--window", "nan"],
         ["bsim", "--circuit", "ndro", "--schedule", "{nan_sched}"],
         ["bsim", "--circuit", "ndro", "--schedule", "{big_sched}"],
+        ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "0"],
+        ["tran", "{cap0_cir}"],
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sfqsim import data
-from sfqsim.analog import run_transient
+from sfqsim.analog import Waveform, run_transient
 from sfqsim.cells import PulseEvent
 from sfqsim.netlist import flatten, parse_netlist
 from sfqsim.waveio import (
@@ -15,6 +16,7 @@ from sfqsim.waveio import (
     write_schedule,
     write_vcd_events,
     write_vcd_waveform,
+    _vcd_ident,
     write_waveform_csv,
 )
 
@@ -131,3 +133,56 @@ def test_vcd_waveform_dump(small_waveform):
     vcd = write_vcd_waveform(wave)
     assert "$var real 64" in vcd
     assert vcd.count("#") == len(wave.times)
+
+
+def _reference_csv(wave):
+    # the per-value f-string formatter the row-template writer replaced
+    header = ["time_ps"] + [f"v({n})" for n in wave.node_names]
+    header += [f"phase({j})" for j in wave.junction_names]
+    lines = [",".join(header)]
+    for i, t in enumerate(wave.times):
+        row = [f"{float(t) / PS:.3f}"]
+        row += [f"{v:.9e}" for v in wave.voltages[i]]
+        row += [f"{p:.9e}" for p in wave.phases[i]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_vcd(wave, module="sfqsim"):
+    names = [f"v({n})" for n in wave.node_names] + [f"phase({j})" for j in wave.junction_names]
+    idents = [_vcd_ident(i) for i in range(len(names))]
+    lines = ["$timescale 1 fs $end", f"$scope module {module} $end"]
+    lines += [f"$var real 64 {ident} {name} $end" for ident, name in zip(idents, names)]
+    lines += ["$upscope $end", "$enddefinitions $end"]
+    ncols = len(wave.node_names)
+    for i, t in enumerate(wave.times):
+        lines.append(f"#{int(round(float(t) / 1e-15))}")
+        for k in range(ncols):
+            lines.append(f"r{wave.voltages[i, k]:.9e} {idents[k]}")
+        for k in range(len(wave.junction_names)):
+            lines.append(f"r{wave.phases[i, k]:.9e} {idents[ncols + k]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_row_template_writers_match_per_value_formatting(small_waveform):
+    # six variables, so the fifth VCD identifier is "%", which a template must escape
+    assert _vcd_ident(4) == "%"
+    rng = np.random.default_rng(7)
+    special = [-0.0, 5e-324, -1.5e-300, 1e300, 0.0, -2.5e-3]
+    times = np.array([0.0, 0.5e-15, 1.5e-15, 2.5e-15, 1.0005e-12, 3.14159e-10])
+    voltages = rng.normal(scale=1e-4, size=(6, 3))
+    voltages[:, 0] = special
+    phases = rng.normal(scale=10.0, size=(6, 3))
+    phases[:, 2] = special[::-1]
+    wave = Waveform(
+        times=times,
+        node_names=["1", "2", "out"],
+        junction_names=["B1", "X1.B2", "B3"],
+        inductor_names=[],
+        voltages=voltages,
+        phases=phases,
+        inductor_currents=np.zeros((6, 0)),
+    )
+    for w in (wave, small_waveform[0]):
+        assert write_waveform_csv(w) == _reference_csv(w)
+        assert write_vcd_waveform(w) == _reference_vcd(w)
