@@ -28,7 +28,7 @@ from .cells import (
     simulate,
 )
 from .margin import MarginReport, MarginSpec, margin_sweep, timing_spec
-from .netlist import Netlist, flatten, format_netlist, lint, parse_netlist
+from .netlist import Netlist, flatten, lint, parse_netlist
 from .oracle import OracleMachine, Verdict, check_trace, compare_trace, run_oracle
 from .waveio import PulseSchedule, read_schedule, write_events
 

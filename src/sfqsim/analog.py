@@ -113,9 +113,6 @@ class Waveform:
     inductor_currents: np.ndarray   # shape (nsamples, ninductors)
     junction_nodes: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def node_voltage(self, node: str) -> np.ndarray:
-        return self.voltages[:, self.node_names.index(node)]
-
     def phase(self, junction: str) -> np.ndarray:
         return self.phases[:, self.junction_names.index(junction)]
 
@@ -135,19 +132,6 @@ class Waveform:
                 n: float(self.inductor_currents[i, j]) for j, n in enumerate(self.inductor_names)
             },
         )
-
-    def quiescent_indices(self, vtol: float = 1e-7, run: int = 5) -> np.ndarray:
-        """Sample indices where |V| < vtol held for `run` consecutive samples."""
-        if self.voltages.shape[1] == 0:
-            return np.arange(len(self.times))
-        quiet = np.all(np.abs(self.voltages) < vtol, axis=1)
-        out = []
-        streak = 0
-        for i, q in enumerate(quiet):
-            streak = streak + 1 if q else 0
-            if streak >= run:
-                out.append(i)
-        return np.asarray(out, dtype=int)
 
 
 def _junction_cap(model, area: float) -> float:
@@ -171,7 +155,7 @@ class _Engine:
     def __init__(self, flat: FlatNetlist, cfg: TransientConfig):
         if not flat.is_flat():
             raise StructuralError("netlist must be flattened before simulation")
-        tran = flat.tran()
+        tran = flat.tran
         self.dt = cfg.dt if cfg.dt is not None else (tran.step if tran else 0.1e-12)
         tstop = cfg.tstop if cfg.tstop is not None else (tran.stop if tran else None)
         if tstop is None:
@@ -338,7 +322,9 @@ class _Engine:
         self.time += h
 
     def run(self) -> tuple[Waveform, list[PhaseSlipEvent]]:
-        nsteps = int(round(self.tstop / self.dt))
+        # the last sample reaches tstop; the 1e-9 keeps float noise in the ratio
+        # of a whole number of steps from adding one
+        nsteps = math.ceil(self.tstop / self.dt - 1e-9)
         nn = self.nn
         times = np.empty(nsteps + 1)
         volts = np.empty((nsteps + 1, nn))

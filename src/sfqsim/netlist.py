@@ -16,7 +16,13 @@ comment lines, inline "#" comments allowed):
 Values accept engineering suffixes f/p/n/u/m/k/meg; suffixes resolve by
 decimal exponent shift, so "2.09p" is exactly the literal 2.09e-12. Node "0"
 is ground. A first line that does not begin with an element key or directive
-is kept as the netlist title (SPICE convention); `format_netlist` re-emits it.
+is kept as the netlist title (SPICE convention).
+
+Every source is a PWL: "dc v" is the one point (0, v) and "pulse(t0 amp w)"
+the triangle (t0, 0), (t0 + w/2, amp), (t0 + w, 0); source times must be
+finite and strictly increasing. At most one .tran line is allowed. A .print
+line is checked for syntax and otherwise ignored: the writers emit every
+column.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ SUFFIX_EXPONENTS = {
     "k": 3,
     "meg": 6,
 }
-SUFFIXES = {k: 10.0**e for k, e in SUFFIX_EXPONENTS.items()}
 
 _VALUE_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?(meg|f|p|n|u|m|k)?$",
@@ -74,23 +79,7 @@ def parse_value(token: str, lineno: int | None = None) -> float:
     return value
 
 
-def format_value(v: float) -> str:
-    # repr round-trips floats exactly, which the pretty-print/parse cycle relies on
-    return repr(float(v))
-
-
 # --- source waveforms -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DC:
-    value: float
-
-    def value_at(self, t: float) -> float:
-        return self.value
-
-    def spice(self) -> str:
-        return f"dc {format_value(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -107,37 +96,6 @@ class PWL:
             if t0 <= t <= t1:
                 return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
         return pts[-1][1]
-
-    def spice(self) -> str:
-        flat = " ".join(f"{format_value(t)} {format_value(v)}" for t, v in self.points)
-        return f"pwl({flat})"
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """Triangle current pulse: zero at t0, peak at t0+width/2, zero at t0+width."""
-
-    t0: float
-    amplitude: float
-    width: float
-
-    def value_at(self, t: float) -> float:
-        half = self.width / 2.0
-        dt = t - self.t0
-        if dt <= 0.0 or dt >= self.width:
-            return 0.0
-        if dt <= half:
-            return self.amplitude * dt / half
-        return self.amplitude * (self.width - dt) / half
-
-    def spice(self) -> str:
-        return (
-            f"pulse({format_value(self.t0)} {format_value(self.amplitude)} "
-            f"{format_value(self.width)})"
-        )
-
-
-SourceSpec = DC | PWL | Pulse
 
 
 # --- elements ----------------------------------------------------------------
@@ -173,7 +131,7 @@ class CurrentSource:
     name: str
     pos: str
     neg: str
-    spec: SourceSpec
+    spec: PWL
 
 
 @dataclass(frozen=True)
@@ -209,27 +167,13 @@ class Tran:
     start: float = 0.0
 
 
-@dataclass(frozen=True)
-class Probe:
-    kind: str  # "v" | "phase" | "i"
-    target: str
-
-
-@dataclass(frozen=True)
-class Print:
-    probes: tuple[Probe, ...]
-
-
-AnalysisSpec = Tran | Print
-
-
 @dataclass
 class Netlist:
     title: str = ""
     elements: list[Element] = field(default_factory=list)
     models: dict[str, JJModel] = field(default_factory=dict)  # keyed lowercase
     subcircuits: dict[str, SubcircuitDef] = field(default_factory=dict)
-    analyses: list[AnalysisSpec] = field(default_factory=list)
+    tran: Tran | None = None
 
     def element(self, name: str) -> Element:
         wanted = name.lower()
@@ -245,19 +189,6 @@ class Netlist:
                 if n != GROUND:
                     seen.setdefault(n)
         return list(seen)
-
-    def tran(self) -> Tran | None:
-        for a in self.analyses:
-            if isinstance(a, Tran):
-                return a
-        return None
-
-    def probes(self) -> list[Probe]:
-        out: list[Probe] = []
-        for a in self.analyses:
-            if isinstance(a, Print):
-                out.extend(a.probes)
-        return out
 
     def is_flat(self) -> bool:
         return not any(isinstance(e, SubcktInstance) for e in self.elements)
@@ -316,14 +247,24 @@ def _parse_model_line(tokens: list[str], raw: str, lineno: int) -> JJModel:
     return JJModel(name=name, **kwargs)
 
 
-def _parse_source_spec(rest: str, lineno: int) -> SourceSpec:
+def _pwl(points, lineno: int) -> PWL:
+    """The one check of every source form: finite, strictly increasing times."""
+    points = tuple(points)
+    times = [t for t, _ in points]
+    if not all(math.isfinite(t) for t in times):
+        raise NetlistError("source times must be finite", lineno)
+    if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        raise NetlistError("source times must be strictly increasing", lineno)
+    return PWL(points)
+
+
+def _parse_source_spec(rest: str, lineno: int) -> PWL:
     text = rest.strip()
-    low = text.lower()
-    if low.startswith("dc"):
+    if text.lower().startswith("dc"):
         toks = text.split()
         if len(toks) != 2:
             raise NetlistError("dc source expects one value", lineno)
-        return DC(parse_value(toks[1], lineno))
+        return _pwl(((0.0, parse_value(toks[1], lineno)),), lineno)
     m = re.match(r"(pwl|pulse)\s*\((.*)\)\s*$", text, re.IGNORECASE)
     if not m:
         raise NetlistError(f"malformed source spec {text!r}", lineno)
@@ -335,14 +276,10 @@ def _parse_source_spec(rest: str, lineno: int) -> SourceSpec:
         t0, amp, width = vals
         if width <= 0:
             raise NetlistError("non-positive pulse width", lineno)
-        return Pulse(t0, amp, width)
+        return _pwl(((t0, 0.0), (t0 + width / 2.0, amp), (t0 + width, 0.0)), lineno)
     if len(vals) < 2 or len(vals) % 2:
         raise NetlistError("pwl expects time/value pairs", lineno)
-    points = tuple(zip(vals[0::2], vals[1::2]))
-    times = [t for t, _ in points]
-    if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-        raise NetlistError("pwl times must be strictly increasing", lineno)
-    return PWL(points)
+    return _pwl(zip(vals[0::2], vals[1::2]), lineno)
 
 
 def _parse_element_line(line: str, lineno: int) -> Element:
@@ -397,16 +334,13 @@ def _parse_tran_line(tokens: list[str], lineno: int) -> Tran:
 _PROBE_RE = re.compile(r"^(v|phase|i)\((\S+)\)$", re.IGNORECASE)
 
 
-def _parse_print_line(tokens: list[str], lineno: int) -> Print:
-    probes = []
-    for tok in tokens[1:]:
-        m = _PROBE_RE.match(tok)
-        if not m:
-            raise NetlistError(f"malformed probe {tok!r}", lineno)
-        probes.append(Probe(m.group(1).lower(), m.group(2)))
-    if not probes:
+def _check_print_line(tokens: list[str], lineno: int) -> None:
+    """Syntax check only: the writers emit every column, so the probes are not kept."""
+    if len(tokens) < 2:
         raise NetlistError(".print expects at least one probe", lineno)
-    return Print(tuple(probes))
+    for tok in tokens[1:]:
+        if not _PROBE_RE.match(tok):
+            raise NetlistError(f"malformed probe {tok!r}", lineno)
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -452,9 +386,11 @@ def parse_netlist(text: str) -> Netlist:
                 )
                 current_def = None
             elif key == ".tran":
-                netlist.analyses.append(_parse_tran_line(tokens, lineno))
+                if netlist.tran is not None:
+                    raise NetlistError("duplicate .tran", lineno)
+                netlist.tran = _parse_tran_line(tokens, lineno)
             elif key == ".print":
-                netlist.analyses.append(_parse_print_line(tokens, lineno))
+                _check_print_line(tokens, lineno)
             elif key == ".end":
                 break
             else:
@@ -501,47 +437,6 @@ def _validate_references(netlist: Netlist) -> None:
         check(sub.elements)
 
 
-# --- pretty printing ----------------------------------------------------------
-
-
-def _format_element(e: Element) -> str:
-    if isinstance(e, Junction):
-        suffix = f" area={format_value(e.area)}" if e.area != 1.0 else ""
-        return f"{e.name} {e.pos} {e.neg} {e.model}{suffix}"
-    if isinstance(e, (Inductor, Resistor)):
-        return f"{e.name} {e.pos} {e.neg} {format_value(e.value)}"
-    if isinstance(e, CurrentSource):
-        return f"{e.name} {e.pos} {e.neg} {e.spec.spice()}"
-    return f"{e.name} {' '.join(e.nodes)} {e.subckt}"
-
-
-def format_netlist(netlist: Netlist) -> str:
-    """Render a Netlist back to source; reparsing yields an equivalent Netlist."""
-    lines: list[str] = []
-    if netlist.title:
-        lines.append(netlist.title)
-    for model in netlist.models.values():
-        params = [f"icrit={format_value(model.icrit)}"]
-        for key in ("cap", "rn", "r0"):
-            v = getattr(model, key)
-            if v is not None:
-                params.append(f"{key}={format_value(v)}")
-        lines.append(f".model {model.name} jj({', '.join(params)})")
-    for sub in netlist.subcircuits.values():
-        lines.append(f".subckt {sub.name} {' '.join(sub.ports)}")
-        lines.extend(_format_element(e) for e in sub.elements)
-        lines.append(".ends")
-    lines.extend(_format_element(e) for e in netlist.elements)
-    for a in netlist.analyses:
-        if isinstance(a, Tran):
-            lines.append(
-                f".tran {format_value(a.step)} {format_value(a.stop)} {format_value(a.start)}"
-            )
-        else:
-            lines.append(".print " + " ".join(f"{p.kind}({p.target})" for p in a.probes))
-    return "\n".join(lines) + "\n"
-
-
 # --- flattening ----------------------------------------------------------------
 
 
@@ -555,7 +450,7 @@ def flatten(netlist: Netlist) -> FlatNetlist:
     flat = Netlist(
         title=netlist.title,
         models=dict(netlist.models),
-        analyses=list(netlist.analyses),
+        tran=netlist.tran,
     )
 
     def expand(elements, prefix: str, port_map: dict[str, str], stack: tuple[str, ...]):
@@ -673,7 +568,7 @@ def lint(netlist: Netlist) -> list[Diagnostic]:
                 Diagnostic("warn", "unused-model", f"model {model.name} never referenced")
             )
 
-    if flat.tran() is None:
+    if flat.tran is None:
         diags.append(Diagnostic("warn", "missing-tran", "no .tran analysis"))
 
     for e in flat.elements:

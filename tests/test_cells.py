@@ -140,6 +140,17 @@ def test_cbu_merges_pulses_within_dead_time():
     assert len(apart.outputs) == 2
 
 
+def test_zero_delay_replicator_cycle_rejected():
+    c = BehavioralCircuit(name="loop", timings=CellTimings())
+    c.add_cell(CellInstance("m", "MCG", replicas=2))
+    c.add_cell(CellInstance("r", "RG", replicas=2))
+    c.expose_input("in", ("m", "in"))
+    c.connect(("m", "out"), ("r", "in"))
+    c.connect(("r", "out"), ("m", "in"))
+    with pytest.raises(CircuitError, match="zero-delay replicator cycle detected"):
+        simulate(c, [ev(100, "in")], tstop=1e-9)
+
+
 def test_settling_window_warning():
     c = build_ndro()
     result = simulate(c, [ev(100, "set"), ev(105, "set"), ev(200, "clk")], tstop=1e-9)

@@ -135,6 +135,20 @@ def test_tran_writes_outputs(tmp_path, capsys):
     assert out_events.read_text().startswith("pulse B1 ")
 
 
+@pytest.mark.parametrize(
+    "options, stop, samples",
+    [(["--tstop", "0.04p"], 0.04, 2), (["--dt", "0.3p", "--tstop", "1p"], 1.0, 5)],
+)
+def test_tran_covers_its_stop_time(options, stop, samples, tmp_path, capsys):
+    out_csv = tmp_path / "wave.csv"
+    argv = ["tran", str(DATA / "single_jj_tb.cir"), *options, "--out", str(out_csv)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    times = [float(row.split(",")[0]) for row in out_csv.read_text().splitlines()[1:]]
+    assert len(times) == samples
+    assert times[-1] >= stop
+
+
 def test_bsim_rejects_invalid_timing_composition(capsys):
     code, _, err = run(
         [
@@ -194,6 +208,12 @@ BAD_FILES = {
     # node 1 has only a cap=0, unshunted junction: the step matrix is singular
     "cap0_cir": "B1 1 0 jm\nI1 0 1 pwl(0 0 50p 50u)\n.model jm jj(icrit=100u, cap=0)\n"
     ".tran 0.1p 100p\n",
+    "two_tran_cir": "R1 1 0 5\nB1 1 0 jj1\n.model jj1 jj(icrit=100u)\n.tran 0.1p 10p\n"
+    ".tran 0.1p 20p\n",
+    # the pulse end t0 + width overflows to inf
+    "inf_pulse_cir": "R1 1 0 5\nB1 1 0 jj1\nI1 0 1 pulse(1e308 1u 1e308)\n"
+    ".model jj1 jj(icrit=100u)\n.tran 0.1p 10p\n",
+    "bad_print_cir": "R1 1 0 5\nB1 1 0 jj1\n.model jj1 jj(icrit=100u)\n.tran 0.1p 10p\n.print x\n",
 }
 
 
@@ -221,6 +241,9 @@ BAD_FILES = {
         ["bsim", "--circuit", "ndro", "--schedule", "{big_sched}"],
         ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "0"],
         ["tran", "{cap0_cir}"],
+        ["tran", "{two_tran_cir}"],
+        ["tran", "{inf_pulse_cir}"],
+        ["tran", "{bad_print_cir}"],
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):

@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from sfqsim import data
 from sfqsim.netlist import (
-    DC,
     PWL,
+    SUFFIX_EXPONENTS,
     Inductor,
     Junction,
     NetlistError,
-    Pulse,
-    SUFFIXES,
     flatten,
-    format_netlist,
     lint,
     parse_netlist,
     parse_value,
@@ -87,17 +84,19 @@ def test_case_insensitive_keys_and_comments():
         ".TRAN 1p 50p\n"
     )
     assert isinstance(n.element("b1"), Junction)
-    assert n.tran() is not None
+    assert n.tran is not None
 
 
 def test_source_specs():
     n = parse_netlist(
         "I1 0 1 dc 1m\nI2 0 1 pwl(0 0 10p 5u)\nI3 0 1 pulse(10p 500u 4p)\nR1 1 0 5"
     )
-    assert isinstance(n.element("I1").spec, DC)
-    assert isinstance(n.element("I2").spec, PWL)
+    # dc and pulse are shorthands for PWL sources
+    assert n.element("I1").spec == PWL(((0.0, 1e-3),))
+    assert n.element("I2").spec == PWL(((0.0, 0.0), (10e-12, 5e-6)))
     pulse = n.element("I3").spec
-    assert isinstance(pulse, Pulse)
+    t0, width = 10e-12, 4e-12
+    assert pulse == PWL(((t0, 0.0), (t0 + width / 2, 500e-6), (t0 + width, 0.0)))
     assert pulse.value_at(12e-12) == pytest.approx(500e-6)
     assert pulse.value_at(9e-12) == 0.0
 
@@ -118,12 +117,10 @@ def test_tran_bounds_validation():
     mantissa=st.decimals(
         min_value="0.001", max_value="999", places=3, allow_nan=False
     ),
-    suffix=st.sampled_from(sorted(SUFFIXES)),
+    suffix=st.sampled_from(sorted(SUFFIX_EXPONENTS)),
 )
 def test_suffix_parsing_is_exact(mantissa, suffix):
     # the parse must land on the float nearest the suffixed decimal literal
-    from sfqsim.netlist import SUFFIX_EXPONENTS
-
     text = f"{mantissa}{suffix}"
     assert parse_value(text) == float(f"{mantissa}e{SUFFIX_EXPONENTS[suffix]}")
 
@@ -142,54 +139,6 @@ def test_suffix_examples():
     assert parse_value("7.2") == 7.2
     assert parse_value("3meg") == 3e6
     assert parse_value("1.5e-3m") == 1.5e-6
-
-
-_name = st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True)
-_value = st.floats(min_value=1e-15, max_value=1e3, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _netlists(draw):
-    lines = []
-    n_r = draw(st.integers(1, 4))
-    for i in range(n_r):
-        lines.append(f"R{i} n{i} 0 {draw(_value)!r}")
-    for i in range(draw(st.integers(0, 3))):
-        lines.append(f"L{i} n{i} 0 {draw(_value)!r}")
-    if draw(st.booleans()):
-        lines.append(".model jm jj(icrit=1e-4, cap=7e-14)")
-        lines.append("B0 n0 0 jm")
-    if draw(st.booleans()):
-        lines.append("I0 0 n0 dc 1e-6")
-    if draw(st.booleans()):
-        lines.append(".tran 1e-13 1e-10")
-    return "\n".join(lines)
-
-
-@given(_netlists())
-def test_format_parse_round_trip(source):
-    first = parse_netlist(source)
-    again = parse_netlist(format_netlist(first))
-    assert again == first
-
-
-def test_round_trip_with_subckt_and_sources():
-    src = """
-.model jm jj(icrit=250u, cap=175f, rn=2.7)
-.subckt stage a b
-B1 a 0 jm
-L1 a b 4p
-Ib 0 a pwl(0 0 50p 175u)
-.ends
-X1 in mid stage
-X2 mid outp stage
-Rload outp 0 2
-I1 0 in pulse(100p 400u 6p)
-.tran 0.1p 300p
-.print phase(X1.B1)
-"""
-    n = parse_netlist(src)
-    assert parse_netlist(format_netlist(n)) == n
 
 
 # --- flatten -----------------------------------------------------------------
