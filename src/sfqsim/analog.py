@@ -43,9 +43,9 @@ import numpy as np
 from .netlist import (
     GROUND,
     CurrentSource,
-    FlatNetlist,
     Inductor,
     Junction,
+    Netlist,
     NetlistError,
     Resistor,
 )
@@ -152,7 +152,7 @@ def _junction_shunt(model) -> float:
 class _Engine:
     """One transient run over a flat netlist; owns all mutable state."""
 
-    def __init__(self, flat: FlatNetlist, cfg: TransientConfig):
+    def __init__(self, flat: Netlist, cfg: TransientConfig):
         if not flat.is_flat():
             raise StructuralError("netlist must be flattened before simulation")
         tran = flat.tran
@@ -326,10 +326,13 @@ class _Engine:
         # of a whole number of steps from adding one
         nsteps = math.ceil(self.tstop / self.dt - 1e-9)
         nn = self.nn
-        times = np.empty(nsteps + 1)
-        volts = np.empty((nsteps + 1, nn))
-        phases = np.empty((nsteps + 1, len(self.junctions)))
-        il = np.empty((nsteps + 1, len(self.inductors)))
+        try:
+            times = np.empty(nsteps + 1)
+            volts = np.empty((nsteps + 1, nn))
+            phases = np.empty((nsteps + 1, len(self.junctions)))
+            il = np.empty((nsteps + 1, len(self.inductors)))
+        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
+            raise StructuralError(f"cannot allocate samples for {nsteps} time steps") from exc
 
         def record(i: int) -> None:
             times[i] = self.time
@@ -360,7 +363,7 @@ class _Engine:
 
 
 def run_transient(
-    flat: FlatNetlist, cfg: TransientConfig | None = None
+    flat: Netlist, cfg: TransientConfig | None = None
 ) -> tuple[Waveform, list[PhaseSlipEvent]]:
     """Simulate a flattened netlist; returns sampled waveforms and slip events."""
     return _Engine(flat, cfg or TransientConfig()).run()
@@ -391,7 +394,7 @@ class FluxoidLoop:
     inductances: tuple[float, ...]             # per inductor entry, traversal order
 
     @classmethod
-    def from_names(cls, flat: FlatNetlist, names: list[str]) -> "FluxoidLoop":
+    def from_names(cls, flat: Netlist, names: list[str]) -> "FluxoidLoop":
         """Build a loop from element names, deriving orientations by walking the cycle.
 
         The first element is traversed pos->neg; each subsequent element must

@@ -40,10 +40,10 @@ JTL_DRIVE_UA = 400
 JTL_DRIVE_WIDTH_PS = 6
 
 
-def _jj_model(name: str, ic_ua: float, beta_c: float = 1.0) -> str:
-    """Model card with the default-density capacitance and a beta_c-matched rn."""
+def _jj_model(name: str, ic_ua: float) -> str:
+    """Model card with the default-density capacitance and an rn for beta_c = 1."""
     cap_f = ic_ua * 0.7
-    rn = math.sqrt(beta_c * PHI0 / (2 * math.pi * ic_ua * 1e-6 * cap_f * 1e-15))
+    rn = math.sqrt(PHI0 / (2 * math.pi * ic_ua * 1e-6 * cap_f * 1e-15))
     return f".model {name} jj(icrit={ic_ua}u, cap={cap_f:.1f}f, rn={rn:.3f})"
 
 
@@ -54,7 +54,7 @@ def _pulse_sources(node: str, times_ps, amp_ua: float, width_ps: float, tag: str
     ]
 
 
-def single_junction_tb(tstop_ps: int = 500) -> str:
+def single_junction_tb() -> str:
     """100 uA junction with a 5 ohm shunt, DC-driven at 1.5 Ic after a ramp."""
     return "\n".join(
         [
@@ -63,7 +63,7 @@ def single_junction_tb(tstop_ps: int = 500) -> str:
             "R1 1 0 5",
             "Ib 0 1 pwl(0 0 50p 150u)",
             ".model jj1 jj(icrit=100u)",
-            f".tran 0.1p {tstop_ps}p",
+            ".tran 0.1p 500p",
             ".print phase(B1) v(1)",
         ]
     ) + "\n"
@@ -72,7 +72,6 @@ def single_junction_tb(tstop_ps: int = 500) -> str:
 def jtl_chain_tb(
     n_pulses: int = 3,
     stages: int = 5,
-    spacing_ps: float = 100.0,
     amp_ua: float = JTL_DRIVE_UA,
     width_ps: float = JTL_DRIVE_WIDTH_PS,
 ) -> str:
@@ -81,7 +80,7 @@ def jtl_chain_tb(
         f"* {stages}-stage JTL chain testbench",
         _jj_model("jjtl", 250),
     ]
-    times = [100.0 + spacing_ps * k for k in range(n_pulses)]
+    times = [100.0 * k for k in range(1, n_pulses + 1)]
     lines += _pulse_sources("drv", times, amp_ua, width_ps)
     lines.append("Lin drv n1 2p")
     for k in range(1, stages + 1):
@@ -98,7 +97,7 @@ def jtl_chain_tb(
     return "\n".join(lines) + "\n"
 
 
-def storage_loop_tb(n_sets: int = 1, multi: bool = False, spacing_ps: float = 100.0) -> str:
+def storage_loop_tb(n_sets: int = 1, multi: bool = False) -> str:
     """Write-only storage loop: each set pulse adds one fluxon.
 
     The single-fluxon variant holds Ic*L = 1.45 PHI0; the multi variant is
@@ -117,7 +116,7 @@ def storage_loop_tb(n_sets: int = 1, multi: bool = False, spacing_ps: float = 10
         f"Ls a b {l_store}p",
         "Bq b 0 jq",
     ]
-    times = [100.0 + spacing_ps * k for k in range(n_sets)]
+    times = [100.0 * k for k in range(1, n_sets + 1)]
     lines += _pulse_sources("a", times, amp, LOOP_WRITE_WIDTH_PS, tag="set")
     tstop = int(times[-1] + 150)
     lines.append(f".tran 0.1p {tstop}p")
@@ -128,7 +127,7 @@ def storage_loop_tb(n_sets: int = 1, multi: bool = False, spacing_ps: float = 10
 STORAGE_LOOP_NAMES = ["Ls", "Bq", "Bin"]  # traversal order for fluxoid counting
 
 
-def mcg_tb(amp_ua: float = MCG_DRIVE_UA, width_ps: float = MCG_DRIVE_WIDTH_PS) -> str:
+def mcg_tb(amp_ua: float = MCG_DRIVE_UA) -> str:
     """Threshold-gate pulse multiplier tuned to emit 3 output slips on B3.
 
     The drive window for exactly three pulses spans roughly 480..580 uA at
@@ -140,7 +139,7 @@ def mcg_tb(amp_ua: float = MCG_DRIVE_UA, width_ps: float = MCG_DRIVE_WIDTH_PS) -
         _jj_model("jj1", 170),
         _jj_model("jj2", 150),
         _jj_model("jj3", 230),
-        f"Iin 0 m0 pulse(100p {amp_ua}u {width_ps}p)",
+        f"Iin 0 m0 pulse(100p {amp_ua}u {MCG_DRIVE_WIDTH_PS}p)",
         "L1 m0 m1 0.6p",
         "B1 m1 0 jj1",
         "L2 m1 m2 7p",
@@ -207,10 +206,10 @@ def rdff_elements(params: dict) -> list[str]:
     ]
 
 
-def rdff_cell(params: dict, name: str = "rdff") -> list[str]:
+def rdff_cell(params: dict) -> list[str]:
     """Reconstructed set/reset flip-flop cell as a biased subcircuit."""
     p = params
-    lines = [f".subckt {name} set clk rst out"] + rdff_elements(p)
+    lines = [".subckt rdff set clk rst out"] + rdff_elements(p)
     for i, (node, ic_key) in enumerate(
         [("s1", "J2"), ("c1", "J10"), ("o1", "J8"), ("o2", "J11")], start=1
     ):

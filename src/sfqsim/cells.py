@@ -15,6 +15,9 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 PS = 1e-12
+# time resolution of the file formats; spacing rules allow FS / 2 below a limit,
+# so the float rounding of `ps * 1e-12` cannot move a spacing across it
+FS = 1e-15
 SETTLING_WINDOW = 20e-12  # closer input pulses on one port draw a warning
 STOP_MARGIN = 200e-12  # default run length past the last input pulse
 
@@ -244,6 +247,7 @@ def simulate(
     circuit.validate()
     warnings: list[str] = []
     last_on_port: dict[str, float] = {}
+    settling = SETTLING_WINDOW - FS / 2
     for ev in sorted(schedule, key=lambda e: e.time):
         if ev.port not in circuit.inputs:
             raise CircuitError(f"unknown input port {ev.port!r}")
@@ -252,7 +256,7 @@ def simulate(
         if ev.time >= tstop:
             raise CircuitError(f"event at {ev.time} not before tstop {tstop}")
         prev = last_on_port.get(ev.port)
-        if prev is not None and ev.time - prev < SETTLING_WINDOW:
+        if prev is not None and ev.time - prev < settling:
             warnings.append(
                 f"pulses on {ev.port} {ev.time / PS:.3f} ps and {prev / PS:.3f} ps "
                 f"are closer than the {SETTLING_WINDOW / PS:.0f} ps settling window"

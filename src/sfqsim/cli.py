@@ -52,8 +52,6 @@ EXIT_FUNCTIONAL = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-WINDOW_HELP = "minimum clock spacing, ps; an output pulse counts for the clock period it lands in"
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT):
@@ -200,7 +198,7 @@ def cmd_oracle(args) -> int:
     schedule = _load_schedule(args.schedule)
     observed = read_events(_read_file(args.events))
     try:
-        verdict = check_trace(args.kind, schedule.events, observed, window=args.window * PS)
+        verdict = check_trace(args.kind, schedule.events, observed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     print(verdict)
@@ -212,12 +210,7 @@ def cmd_margins(args) -> int:
     schedule = _load_schedule(args.schedule)
     try:
         spec = timing_spec(
-            args.target,
-            schedule.events,
-            base,
-            args.param or None,
-            window=args.window * PS,
-            resolution=args.resolution,
+            args.target, schedule.events, base, args.param or None, resolution=args.resolution
         )
     except (ValueError, MarginError) as exc:
         raise CliError(str(exc)) from exc
@@ -313,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, help="ndro | mndro-rst | mndro-dec")
     p.add_argument("--schedule", required=True)
     p.add_argument("--events", required=True)
-    p.add_argument("--window", type=float, default=50.0, help=WINDOW_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("margins", help="behavioral timing-margin sweep")
     p.add_argument("target", help="ndro | mndro-rst | mndro-dec")
     p.add_argument("--schedule", required=True)
     p.add_argument("--resolution", type=float, default=0.005)
-    p.add_argument("--window", type=float, default=50.0, help=WINDOW_HELP)
     p.add_argument("--param", nargs="*", help="subset of timing parameters to sweep")
     p.add_argument("--timings", nargs="*", metavar="KEY=PS")
     p.add_argument("--out", help="CSV report path")

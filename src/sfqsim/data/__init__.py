@@ -8,12 +8,3 @@ SCHEDULES = {"ndro": "tb_fig7.sched", "mndro-rst": "tb_fig8.sched", "mndro-dec":
 
 def load_text(name: str) -> str:
     return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
-
-
-def names() -> list[str]:
-    root = resources.files(__package__)
-    return sorted(
-        entry.name
-        for entry in root.iterdir()
-        if entry.name.endswith((".cir", ".sched"))
-    )

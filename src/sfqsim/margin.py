@@ -81,18 +81,6 @@ class MarginReport:
             raise MarginError("empty report")
         return min(self.per_parameter, key=lambda p: p.margin_percent)
 
-    @property
-    def critical_parameter(self) -> str:
-        return self.critical.name
-
-    @property
-    def critical_margin_percent(self) -> float:
-        return self.critical.margin_percent
-
-    @property
-    def critical_unbounded(self) -> bool:
-        return self.critical.saturated
-
 
 def _bisect_edge(
     check: Callable[[float], bool], passing: float, failing: float, resolution: float
@@ -160,7 +148,6 @@ def timing_spec(
     schedule: list[PulseEvent],
     base: CellTimings | None = None,
     params: list[str] | None = None,
-    window: float = 50e-12,
     resolution: float = 0.005,
 ) -> MarginSpec:
     """Timing margins of a built-in circuit: a point passes when a run of
@@ -168,8 +155,9 @@ def timing_spec(
 
     `params` defaults to the wiring and memory delays, plus `mcg_spacing` on
     the multi-fluxon circuits. The kind, the parameters, the resolution and
-    the oracle side of the check are all settled here, so a bad input raises
-    (ValueError or MarginError) before any point is simulated.
+    the oracle side of the check, including the fixed 50 ps minimum clock
+    spacing (`oracle.MIN_CLOCK_SPACING`), are all settled here, so a bad
+    input raises (ValueError or MarginError) before any point is simulated.
     """
     if kind not in BUILTIN_CIRCUITS:
         raise ValueError(f"unknown circuit {kind!r} (choose from {sorted(BUILTIN_CIRCUITS)})")
@@ -180,7 +168,7 @@ def timing_spec(
     unknown = set(params) - set(known)
     if unknown:
         raise ValueError(f"unknown sweep parameter(s): {sorted(unknown)}")
-    judge = trace_checker(kind, schedule, window)
+    judge = trace_checker(kind, schedule)
 
     def passes(factors: dict[str, float]) -> bool:
         try:
@@ -204,10 +192,8 @@ def render_report(report: MarginReport) -> str:
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = ["  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip() for row in rows]
     crit = report.critical
-    prefix = ">= " if report.critical_unbounded else ""
-    lines.append(
-        f"critical: {crit.name} at {prefix}{report.critical_margin_percent:.1f}%"
-    )
+    prefix = ">= " if crit.saturated else ""
+    lines.append(f"critical: {crit.name} at {prefix}{crit.margin_percent:.1f}%")
     return "\n".join(lines) + "\n"
 
 

@@ -194,10 +194,6 @@ class Netlist:
         return not any(isinstance(e, SubcktInstance) for e in self.elements)
 
 
-# FlatNetlist is a Netlist whose elements contain no SubcktInstance entries.
-FlatNetlist = Netlist
-
-
 def _element_nodes(e: Element) -> tuple[str, ...]:
     if isinstance(e, SubcktInstance):
         return e.nodes
@@ -440,7 +436,7 @@ def _validate_references(netlist: Netlist) -> None:
 # --- flattening ----------------------------------------------------------------
 
 
-def flatten(netlist: Netlist) -> FlatNetlist:
+def flatten(netlist: Netlist) -> Netlist:
     """Expand subcircuit instances into a single scope.
 
     Hierarchical nodes and element names become "inst.node"/"inst.name";

@@ -5,6 +5,10 @@ the state. The multi-fluxon machines count S0..S3: set increments
 (saturating), reset either clears (reset configuration) or decrements by one
 (decrement configuration), and a clock emits as many pulses as the state
 index without changing it.
+
+Trace comparison counts each output pulse for the clock period it lands in.
+The clocks must be at least MIN_CLOCK_SPACING apart; that is a fixed rule of
+the 10 GHz cells, not a setting.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-from .cells import PS, PulseEvent
+from .cells import FS, PS, PulseEvent
 
 NDRO = "ndro"
 MNDRO_RESET = "mndro-rst"
@@ -22,15 +26,12 @@ MNDRO_DECREMENT = "mndro-dec"
 KINDS = (NDRO, MNDRO_RESET, MNDRO_DECREMENT)
 SYMBOLS = ("SET", "RST", "CLK")
 
-
-@dataclass(frozen=True)
-class OracleEventOutcome:
-    new_state: int
-    output_pulse_count: int
+MIN_CLOCK_SPACING = 50e-12  # half the 100 ps period of the 10 GHz clock
 
 
 class OracleMachine:
-    """Executable reference machine; `step` advances it one input symbol."""
+    """Executable reference machine; `step` advances it one input symbol
+    and returns the number of output pulses it emits."""
 
     def __init__(self, kind: str):
         if kind not in KINDS:
@@ -42,7 +43,7 @@ class OracleMachine:
     def capacity(self) -> int:
         return 1 if self.kind == NDRO else 3
 
-    def step(self, symbol: str) -> OracleEventOutcome:
+    def step(self, symbol: str) -> int:
         if symbol not in SYMBOLS:
             raise ValueError(f"unknown input symbol {symbol!r}")
         pulses = 0
@@ -55,7 +56,7 @@ class OracleMachine:
                 self.state = 0
         else:  # CLK reads without changing state
             pulses = self.state
-        return OracleEventOutcome(self.state, pulses)
+        return pulses
 
 
 def run_oracle(kind: str, symbols: list[str]) -> list[tuple[int, int]]:
@@ -63,9 +64,9 @@ def run_oracle(kind: str, symbols: list[str]) -> list[tuple[int, int]]:
     machine = OracleMachine(kind)
     out = []
     for i, sym in enumerate(symbols):
-        outcome = machine.step(sym)
+        pulses = machine.step(sym)
         if sym == "CLK":
-            out.append((i, outcome.output_pulse_count))
+            out.append((i, pulses))
     return out
 
 
@@ -82,29 +83,26 @@ class Verdict:
         return f"FAIL clk={self.clk_index} expected={self.expected} observed={self.observed}"
 
 
-def _check_clocks(clock_times: list[float], window: float) -> None:
-    if not window > 0:
-        raise ValueError("window must be positive")
-    if not all(t1 - t0 >= window for t0, t1 in zip(clock_times, clock_times[1:])):
-        raise ValueError(f"clocks must be at least the window ({window / PS:g} ps) apart")
+def _check_clocks(clock_times: list[float]) -> None:
+    least = MIN_CLOCK_SPACING - FS / 2  # spacings count in whole femtoseconds
+    if not all(t1 - t0 >= least for t0, t1 in zip(clock_times, clock_times[1:])):
+        spacing = MIN_CLOCK_SPACING / PS
+        raise ValueError(f"clocks must be at least the window ({spacing:g} ps) apart")
 
 
 def compare_trace(
-    expected_counts: list[int],
-    observed: list[PulseEvent],
-    clock_times: list[float],
-    window: float = 50e-12,
+    expected_counts: list[int], observed: list[PulseEvent], clock_times: list[float]
 ) -> Verdict:
     """Attribute each observed output pulse to its clock period and check the counts.
 
     A pulse belongs to the latest clock at or before it, however long after
     that clock it lands, so spurious outputs fail the comparison; a pulse
     before the first clock is reported against clock 0 as a negative count.
-    `window` is only the minimum spacing the clocks must keep.
+    The clocks must be at least MIN_CLOCK_SPACING apart.
     """
     if len(expected_counts) != len(clock_times):
         raise ValueError("one expected count per clock time is required")
-    _check_clocks(clock_times, window)
+    _check_clocks(clock_times)
     counts = [0] * len(clock_times)
     stray_before_first = 0
     for ev in observed:
@@ -121,25 +119,21 @@ def compare_trace(
     return Verdict(True)
 
 
-def trace_checker(
-    kind: str, schedule: list[PulseEvent], window: float = 50e-12
-) -> Callable[[list[PulseEvent]], Verdict]:
+def trace_checker(kind: str, schedule: list[PulseEvent]) -> Callable[[list[PulseEvent]], Verdict]:
     """Run the reference machine over an input schedule once; return its judge.
 
     Each input port names its symbol (set -> SET, ...) and the clock times are
     those of the CLK pulses. Raises ValueError for an unknown kind or symbol,
-    or for clocks closer than `window`, before anything is compared. The
+    or for clocks closer than MIN_CLOCK_SPACING, before anything is compared. The
     returned function checks the output pulses of one run of the schedule.
     """
     symbols = [e.port.upper() for e in schedule]
     expected = [count for _, count in run_oracle(kind, symbols)]
     clocks = [e.time for e, sym in zip(schedule, symbols) if sym == "CLK"]
-    _check_clocks(clocks, window)
-    return lambda observed: compare_trace(expected, observed, clocks, window)
+    _check_clocks(clocks)
+    return lambda observed: compare_trace(expected, observed, clocks)
 
 
-def check_trace(
-    kind: str, schedule: list[PulseEvent], observed: list[PulseEvent], window: float = 50e-12
-) -> Verdict:
+def check_trace(kind: str, schedule: list[PulseEvent], observed: list[PulseEvent]) -> Verdict:
     """Judge the output pulses of one run of `schedule` against the reference machine."""
-    return trace_checker(kind, schedule, window)(observed)
+    return trace_checker(kind, schedule)(observed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import PS, PulseEvent
+from .cells import FS, PS, PulseEvent
 
 
 class ScheduleError(ValueError):
@@ -137,21 +137,20 @@ def _vcd_ident(i: int) -> str:
     return "".join(reversed(chars))
 
 
-def write_vcd_events(events: list[PulseEvent], module: str = "sfqsim") -> str:
+def write_vcd_events(events: list[PulseEvent]) -> str:
     """Pulses as 1 fs wire toggles; timescale 1 fs."""
     ports: list[str] = []
     for e in events:
         if e.port not in ports:
             ports.append(e.port)
     idents = {p: _vcd_ident(i) for i, p in enumerate(ports)}
-    lines = ["$timescale 1 fs $end", f"$scope module {module} $end"]
+    lines = ["$timescale 1 fs $end", "$scope module sfqsim $end"]
     lines += [f"$var wire 1 {idents[p]} {p} $end" for p in ports]
     lines += ["$upscope $end", "$enddefinitions $end", "#0"]
     lines += [f"0{idents[p]}" for p in ports]
-    fs = 1e-15
     changes: list[tuple[int, str]] = []
     for e in sorted(events, key=lambda e: e.time):
-        tick = int(round(e.time / fs))
+        tick = int(round(e.time / FS))
         changes.append((tick, f"1{idents[e.port]}"))
         changes.append((tick + 1, f"0{idents[e.port]}"))
     changes.sort(key=lambda c: c[0])
@@ -164,13 +163,13 @@ def write_vcd_events(events: list[PulseEvent], module: str = "sfqsim") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_vcd_waveform(waveform, module: str = "sfqsim") -> str:
+def write_vcd_waveform(waveform) -> str:
     """Node voltages and junction phases as VCD real variables; timescale 1 fs."""
     names = [f"v({n})" for n in waveform.node_names] + [
         f"phase({j})" for j in waveform.junction_names
     ]
     idents = [_vcd_ident(i) for i in range(len(names))]
-    lines = ["$timescale 1 fs $end", f"$scope module {module} $end"]
+    lines = ["$timescale 1 fs $end", "$scope module sfqsim $end"]
     lines += [
         f"$var real 64 {ident} {name} $end" for ident, name in zip(idents, names)
     ]
@@ -178,7 +177,6 @@ def write_vcd_waveform(waveform, module: str = "sfqsim") -> str:
     # one %-template per sample: "#<tick>" then "r<value> <ident>" per variable;
     # np.round rounds half to even, as round() does
     sample = "#%d" + "".join(f"\nr%.9e {ident.replace('%', '%%')}" for ident in idents)
-    fs = 1e-15
-    rows = np.column_stack([np.round(waveform.times / fs), waveform.voltages, waveform.phases])
+    rows = np.column_stack([np.round(waveform.times / FS), waveform.voltages, waveform.phases])
     lines += [sample % tuple(values) for values in rows.tolist()]
     return "\n".join(lines) + "\n"

@@ -20,6 +20,6 @@ def schedule_from_symbols(symbols, period=100e-12, offset=100e-12):
     return [PulseEvent(offset + period * i, port[s]) for i, s in enumerate(symbols)]
 
 
-def oracle_matches(circuit, kind, symbols, period=100e-12, window=50e-12) -> bool:
+def oracle_matches(circuit, kind, symbols, period=100e-12) -> bool:
     events = schedule_from_symbols(symbols, period)
-    return check_trace(kind, events, simulate(circuit, events).outputs, window).passed
+    return check_trace(kind, events, simulate(circuit, events).outputs).passed

@@ -157,6 +157,14 @@ def test_settling_window_warning():
     assert any("settling" in w for w in result.warnings)
 
 
+def test_settling_window_is_compared_in_whole_femtoseconds():
+    # 31e-12 - 11e-12 is a hair under 20e-12 in floats; the pulses are exactly 20 ps apart
+    result = simulate(build_ndro(), [ev(11, "set"), ev(31, "set"), ev(100, "clk")], tstop=1e-9)
+    assert result.warnings == []
+    closer = simulate(build_ndro(), [ev(11, "set"), ev(30.999, "set")], tstop=1e-9)
+    assert len(closer.warnings) == 1
+
+
 def test_unknown_port_and_negative_time_rejected():
     c = build_ndro()
     with pytest.raises(CircuitError, match="unknown input port"):

@@ -214,6 +214,11 @@ BAD_FILES = {
     "inf_pulse_cir": "R1 1 0 5\nB1 1 0 jj1\nI1 0 1 pulse(1e308 1u 1e308)\n"
     ".model jj1 jj(icrit=100u)\n.tran 0.1p 10p\n",
     "bad_print_cir": "R1 1 0 5\nB1 1 0 jj1\n.model jj1 jj(icrit=100u)\n.tran 0.1p 10p\n.print x\n",
+    # clocks 40 ps apart, under the 50 ps minimum clock spacing
+    "close_sched": "port set\nport clk\npulse set 100\npulse clk 200\npulse clk 240\n",
+    # two instances of one subcircuit: B1 and L1 match X1.* and X2.*
+    "two_inst_cir": ".subckt cell a\nB1 a 0 jj1\nL1 a 0 2p\n.ends\nX1 n1 cell\nX2 n2 cell\n"
+    ".model jj1 jj(icrit=100u)\n",
 }
 
 
@@ -228,15 +233,14 @@ BAD_FILES = {
         ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "1e400"],
         ["tran", "{big_cir}"],
         ["margins", "ndro", "--schedule", "tb_fig7.sched", "--resolution", "nan"],
-        ["margins", "ndro", "--schedule", "tb_fig7.sched", "--window", "150"],
+        ["margins", "ndro", "--schedule", "{close_sched}"],
         ["margins", "foo", "--schedule", "tb_fig7.sched"],
         ["margins", "ndro", "--schedule", "{foo_sched}"],
         ["margins", "ndro", "--schedule", "{upper_sched}"],
         ["oracle", "--kind", "ndro", "--schedule", "tb_fig7.sched", "--events", "{inf_events}"],
         ["oracle", "--kind", "ndro", "--schedule", "{foo_sched}", "--events", "{good_events}"],
         ["oracle", "--kind", "foo", "--schedule", "tb_fig7.sched", "--events", "{good_events}"],
-        ["oracle", "--kind", "ndro", "--schedule", "tb_fig7.sched", "--events", "{good_events}",
-         "--window", "nan"],
+        ["oracle", "--kind", "ndro", "--schedule", "{close_sched}", "--events", "{good_events}"],
         ["bsim", "--circuit", "ndro", "--schedule", "{nan_sched}"],
         ["bsim", "--circuit", "ndro", "--schedule", "{big_sched}"],
         ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "0"],
@@ -244,6 +248,14 @@ BAD_FILES = {
         ["tran", "{two_tran_cir}"],
         ["tran", "{inf_pulse_cir}"],
         ["tran", "{bad_print_cir}"],
+        # 1e13 steps of 0.1 ps: the sample arrays cannot be allocated
+        ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "1"],
+        ["tran", str(DATA / "single_jj_tb.cir"), "--dt", "1e-30"],
+        ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", "B99"],
+        ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", "R1"],
+        ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", ","],
+        ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", "L2"],
+        ["capacity", "--netlist", "{two_inst_cir}", "--loop", "B1,L1"],
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):

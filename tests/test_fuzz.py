@@ -145,14 +145,11 @@ def _argv(draw, files):
         )
     if cmd == "oracle":
         events = files["events"]
-        return [cmd, "--kind", draw(KINDS), "--schedule", schedule, "--events", events] + draw(
-            _options(("--window", _number("50")))
-        )
+        return [cmd, "--kind", draw(KINDS), "--schedule", schedule, "--events", events]
     if cmd == "margins":
         return [cmd, draw(KINDS), "--schedule", schedule] + draw(
             _options(
                 ("--resolution", _number("0.05")),
-                ("--window", _number("50")),
                 ("--param", st.sampled_from(["mem_delay", "mcg_spacing", "bogus"])),
                 ("--timings", st.just(timing)),
             )

@@ -32,7 +32,7 @@ def test_recovers_synthetic_interval():
     (p,) = report.per_parameter
     assert p.low == pytest.approx(0.7, abs=spec.resolution)
     assert p.high == pytest.approx(1.5, abs=spec.resolution)
-    assert report.critical_margin_percent == pytest.approx(30.0, abs=100 * spec.resolution)
+    assert report.critical.margin_percent == pytest.approx(30.0, abs=100 * spec.resolution)
     assert not p.saturated
 
 
@@ -42,7 +42,7 @@ def test_always_passing_saturates_at_bounds():
     (p,) = report.per_parameter
     assert (p.low, p.high) == (0.2, 3.0)
     assert p.saturated_low and p.saturated_high
-    assert report.critical_unbounded
+    assert report.critical.saturated
     assert ">=" in render_report(report)
 
 
@@ -93,7 +93,7 @@ def test_island_regions_are_flagged():
 
 def test_critical_margin_rules():
     single = MarginReport([ParameterMargin("a", 1.0, 0.8, 1.3)])
-    assert single.critical_margin_percent == pytest.approx(20.0)
+    assert single.critical.margin_percent == pytest.approx(20.0)
 
     two = MarginReport(
         [
@@ -101,13 +101,13 @@ def test_critical_margin_rules():
             ParameterMargin("b", 1.0, 0.9, 2.0),
         ]
     )
-    assert two.critical_margin_percent == pytest.approx(10.0)
-    assert two.critical_parameter == "b"
+    assert two.critical.margin_percent == pytest.approx(10.0)
+    assert two.critical.name == "b"
 
     saturated = MarginReport(
         [ParameterMargin("a", 1.0, 0.2, 3.0, saturated_low=True, saturated_high=True)]
     )
-    assert saturated.critical_unbounded
+    assert saturated.critical.saturated
 
 
 def test_csv_rendering():
@@ -158,8 +158,9 @@ def test_timing_spec_parameters_and_pass_function():
     [
         (dict(kind="dff"), "unknown circuit"),
         (dict(params=["mcg_spacing"]), r"unknown sweep parameter\(s\): \['mcg_spacing'\]"),
-        (dict(window=150e-12), r"at least the window \(150 ps\) apart"),
-        (dict(window=float("nan")), "window"),
+        (dict(schedule=[PulseEvent(100e-12, "clk"), PulseEvent(140e-12, "clk")]),
+         r"\(50 ps\) apart"),
+        (dict(schedule=[PulseEvent(1e-12, "clk"), PulseEvent(50.999e-12, "clk")]), "apart"),
         (dict(resolution=float("nan")), "resolution"),
         (dict(schedule=[PulseEvent(1e-10, "foo")]), "unknown input symbol 'FOO'"),
     ],

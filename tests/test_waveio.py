@@ -148,10 +148,10 @@ def _reference_csv(wave):
     return "\n".join(lines) + "\n"
 
 
-def _reference_vcd(wave, module="sfqsim"):
+def _reference_vcd(wave):
     names = [f"v({n})" for n in wave.node_names] + [f"phase({j})" for j in wave.junction_names]
     idents = [_vcd_ident(i) for i in range(len(names))]
-    lines = ["$timescale 1 fs $end", f"$scope module {module} $end"]
+    lines = ["$timescale 1 fs $end", "$scope module sfqsim $end"]
     lines += [f"$var real 64 {ident} {name} $end" for ident, name in zip(idents, names)]
     lines += ["$upscope $end", "$enddefinitions $end"]
     ncols = len(wave.node_names)
