@@ -11,7 +11,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sfqsim import bench
-from sfqsim.analog import TransientConfig, run_transient
+from sfqsim.analog import run_transient
 from sfqsim.netlist import flatten, parse_netlist
 
 
@@ -24,7 +24,7 @@ def main():
         for width_ps in (4, 6, 8):
             net = bench.jtl_chain_tb(amp_ua=amp_ua, width_ps=width_ps)
             flat = flatten(parse_netlist(net))
-            _, events = run_transient(flat, TransientConfig(dt=0.1e-12))
+            _, events = run_transient(flat, dt=0.1e-12)
             first = count_slips(events, "B1")
             last = count_slips(events, "B5")
             print(f"amp={amp_ua}u width={width_ps}p: B1={first} B5={last}")

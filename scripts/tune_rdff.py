@@ -14,7 +14,7 @@ from itertools import product
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sfqsim import bench
-from sfqsim.analog import FluxoidLoop, TransientConfig, loop_fluxoid, run_transient
+from sfqsim.analog import FluxoidLoop, loop_fluxoid, run_transient
 from sfqsim.netlist import flatten, parse_netlist
 
 
@@ -35,7 +35,7 @@ def rdff_netlist(p, biases, events, tstop_ps=600):
 def run(p, biases, events, tstop_ps=600):
     net = rdff_netlist(p, biases, events, tstop_ps)
     flat = flatten(parse_netlist(net))
-    wave, ev = run_transient(flat, TransientConfig(dt=0.2e-12))
+    wave, ev = run_transient(flat, dt=0.2e-12)
     loop = FluxoidLoop.from_names(flat, ["L2", "L6", "B6", "B7", "B1"])
     return flat, wave, ev, loop
 

@@ -11,7 +11,6 @@ from .analog import (
     CircuitState,
     FluxoidLoop,
     PhaseSlipEvent,
-    TransientConfig,
     Waveform,
     count_fluxons,
     pulse_area,

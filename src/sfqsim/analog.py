@@ -29,6 +29,10 @@ a junction with cap=0 needs an rn or r0 shunt. Newton stops when no node
 voltage moves by NEWTON_VTOL and no inductor current by NEWTON_ITOL; a step
 still moving after NEWTON_MAX_ITERS iterations is halved, down to dt/64.
 
+A current source is its PWL points. At setup the engine tabulates all
+sources on the sorted union of their times and 0, so s(t) at a step is one
+bisect and at most one row interpolation.
+
 SFQ pulses are detected as upward crossings of phi through pi + 2*pi*k,
 timestamped by linear interpolation between samples.
 """
@@ -36,6 +40,7 @@ timestamped by linear interpolation between samples.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,16 +78,6 @@ class SimulationError(RuntimeError):
 
 class StructuralError(RuntimeError):
     """The netlist produces a singular system (or is otherwise unsolvable)."""
-
-
-@dataclass(frozen=True)
-class TransientConfig:
-    dt: float | None = None        # defaults to the .tran step, else 0.1 ps
-    tstop: float | None = None     # defaults to the .tran stop
-
-    def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,34 +129,22 @@ class Waveform:
         )
 
 
-def _junction_cap(model, area: float) -> float:
-    if model.cap is not None:
-        return model.cap * area
-    return CAP_PER_AMP * model.icrit * area
-
-
-def _junction_shunt(model) -> float:
-    g = 0.0
-    if model.rn is not None:
-        g += 1.0 / model.rn
-    if model.r0 is not None:
-        g += 1.0 / model.r0
-    return g
-
-
 class _Engine:
     """One transient run over a flat netlist; owns all mutable state."""
 
-    def __init__(self, flat: Netlist, cfg: TransientConfig):
+    def __init__(self, flat: Netlist, dt: float | None = None, tstop: float | None = None):
         if not flat.is_flat():
             raise StructuralError("netlist must be flattened before simulation")
         tran = flat.tran
-        self.dt = cfg.dt if cfg.dt is not None else (tran.step if tran else 0.1e-12)
-        tstop = cfg.tstop if cfg.tstop is not None else (tran.stop if tran else None)
+        self.dt = dt if dt is not None else (tran.step if tran else 0.1e-12)
         if tstop is None:
-            raise StructuralError("no .tran directive and no tstop override")
+            if tran is None:
+                raise StructuralError("no .tran directive and no tstop override")
+            tstop = tran.stop
         self.tstop = tstop
         self.tstart = tran.start if tran else 0.0  # recording start
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
         if not self.tstart < tstop:
             raise StructuralError(
                 f"stop time {tstop:g} s must be after the start time {self.tstart:g} s"
@@ -177,7 +160,7 @@ class _Engine:
         self.junctions = of_type(Junction)
         self.inductors = of_type(Inductor)
         resistors = of_type(Resistor)
-        self.sources = of_type(CurrentSource)
+        sources = of_type(CurrentSource)
         n = nn + len(self.inductors)
 
         def incidence(elements) -> np.ndarray:
@@ -191,7 +174,7 @@ class _Engine:
 
         self.Dj = incidence(self.junctions)
         self.Dl = incidence(self.inductors)
-        self.Ds = incidence(self.sources)
+        self.Ds = incidence(sources)
         Dr = incidence(resistors)
         self.junction_nodes = {
             j.name: tuple(-1 if p == GROUND else node_index[p] for p in (j.pos, j.neg))
@@ -206,8 +189,9 @@ class _Engine:
             if model is None:
                 raise NetlistError(f"unknown model reference {j.model!r} in {j.name}")
             self.j_ic[k] = model.icrit * j.area
-            self.j_cap[k] = _junction_cap(model, j.area)
-            self.j_g[k] = _junction_shunt(model)
+            cap = model.cap if model.cap is not None else CAP_PER_AMP * model.icrit
+            self.j_cap[k] = cap * j.area
+            self.j_g[k] = sum(1.0 / r for r in (model.rn, model.r0) if r is not None)
         self.l_val = np.array([l.value for l in self.inductors])
         self.eye_j = np.eye(len(self.junctions))
 
@@ -221,6 +205,17 @@ class _Engine:
         self.tol[nn:] = NEWTON_ITOL
         self.systems: dict[float, tuple[np.ndarray, ...]] = {}  # step h -> _system(h)
 
+        # source table: one row per breakpoint, one column per source
+        self.src_t = sorted({0.0, *(t for s in sources for t, _ in s.points)})
+        grid = np.array(self.src_t)
+        self.src_v = np.zeros((len(grid), len(sources)))
+        for k, s in enumerate(sources):
+            self.src_v[:, k] = np.interp(grid, *zip(*s.points))
+        self.src_dv = np.diff(self.src_v, axis=0)
+        self.src_dt = np.diff(grid).tolist()
+        # rows to return as they are: no source moves before the next row, or it is the last
+        self.src_hold = [*(~self.src_dv.any(axis=1)).tolist(), True]
+
         # state
         self.x = np.zeros(n)
         self.phi = np.zeros(len(self.junctions))
@@ -230,6 +225,13 @@ class _Engine:
         self.next_level = np.full(len(self.junctions), SLIP_PHASE)
         self.events: list[PhaseSlipEvent] = []
         self.time = 0.0
+
+    def _sources_at(self, t: float) -> np.ndarray:
+        """The source currents at t > 0; a hold row is returned as a view, not to be written."""
+        k = bisect_right(self.src_t, t) - 1
+        if self.src_hold[k]:
+            return self.src_v[k]
+        return self.src_v[k] + self.src_dv[k] * (t - self.src_t[k]) / self.src_dt[k]
 
     def _system(self, h: float) -> tuple[np.ndarray, ...]:
         """The maps of the step-h linear system: (P, M, Q, S), see the module docstring."""
@@ -271,7 +273,7 @@ class _Engine:
     def _try_step(self, h: float) -> tuple[np.ndarray, bool]:
         P, M, Q, S = self._system(h)
         t_new = self.time + h
-        x_lin = Q @ self.x + S @ np.array([s.spec.value_at(t_new) for s in self.sources])
+        x_lin = Q @ self.x + S @ self._sources_at(t_new)
         u = self.Dj.T @ x_lin
 
         a = math.pi * h / PHI0  # phase gain per volt: (2*pi/PHI0)*(h/2)
@@ -363,10 +365,13 @@ class _Engine:
 
 
 def run_transient(
-    flat: Netlist, cfg: TransientConfig | None = None
+    flat: Netlist, dt: float | None = None, tstop: float | None = None
 ) -> tuple[Waveform, list[PhaseSlipEvent]]:
-    """Simulate a flattened netlist; returns sampled waveforms and slip events."""
-    return _Engine(flat, cfg or TransientConfig()).run()
+    """Simulate a flattened netlist; returns sampled waveforms and slip events.
+
+    dt defaults to the .tran step, else 0.1 ps; tstop to the .tran stop.
+    """
+    return _Engine(flat, dt, tstop).run()
 
 
 def pulse_area(waveform: Waveform, junction: str, window: tuple[float, float]) -> float:

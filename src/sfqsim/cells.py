@@ -156,54 +156,44 @@ def behavioral_jj_count(circuit: BehavioralCircuit) -> int:
     return sum(cell.jj_count for cell in circuit.cells.values())
 
 
-def build_ndro(timings: CellTimings | None = None) -> BehavioralCircuit:
-    """Single-fluxon memory with reload feedback: mem -> SPL -> {out, JTL -> CBU -> set}."""
-    t = timings or CellTimings()
-    c = BehavioralCircuit(name="ndro", timings=t)
-    c.add_cell(CellInstance("mem", "MEM", capacity=1))
+def _memory_block(
+    name: str, capacity: int, t: CellTimings, clk_mcg: bool, rst_rg: bool
+) -> BehavioralCircuit:
+    """mem -> SPL -> {out, JTL -> CBU -> set}, with MCG(3)/RG(3) in front of clk/rst if asked."""
+    c = BehavioralCircuit(name=name, timings=t)
+    c.add_cell(CellInstance("mem", "MEM", capacity=capacity))
     c.add_cell(CellInstance("cbu", "CBU"))
     c.add_cell(CellInstance("spl", "SPL"))
     c.add_cell(CellInstance("jtl", "JTL"))
     c.feedback_cells = ("spl", "jtl", "cbu")
 
     c.expose_input("set", ("cbu", "in0"))
-    c.expose_input("clk", ("mem", "clk"))
-    c.expose_input("rst", ("mem", "rst"))
+    for port, gen, kind, wanted in (("clk", "mcg", "MCG", clk_mcg), ("rst", "rg", "RG", rst_rg)):
+        if wanted:
+            c.add_cell(CellInstance(gen, kind, replicas=3))
+            c.expose_input(port, (gen, "in"))
+            c.connect((gen, "out"), ("mem", port))
+        else:
+            c.expose_input(port, ("mem", port))
     c.connect(("cbu", "out"), ("mem", "set"))
     c.connect(("mem", "out"), ("spl", "in"))
     c.expose_output(("spl", "out0"), "out")
     c.connect(("spl", "out1"), ("jtl", "in"))
     c.connect(("jtl", "out"), ("cbu", "in1"))
     return c
+
+
+def build_ndro(timings: CellTimings | None = None) -> BehavioralCircuit:
+    """Single-fluxon memory with reload feedback; clk and rst drive the memory directly."""
+    return _memory_block("ndro", 1, timings or CellTimings(), clk_mcg=False, rst_rg=False)
 
 
 def build_mndro(with_rg: bool = True, timings: CellTimings | None = None) -> BehavioralCircuit:
     """Three-fluxon memory: clock through MCG(3); reset through RG(3) or direct."""
     t = timings or CellTimings()
     t.check_replication(3)
-    c = BehavioralCircuit(name="mndro-rst" if with_rg else "mndro-dec", timings=t)
-    c.add_cell(CellInstance("mem", "MEM", capacity=3))
-    c.add_cell(CellInstance("cbu", "CBU"))
-    c.add_cell(CellInstance("spl", "SPL"))
-    c.add_cell(CellInstance("jtl", "JTL"))
-    c.add_cell(CellInstance("mcg", "MCG", replicas=3))
-    c.feedback_cells = ("spl", "jtl", "cbu")
-
-    c.expose_input("set", ("cbu", "in0"))
-    c.expose_input("clk", ("mcg", "in"))
-    c.connect(("mcg", "out"), ("mem", "clk"))
-    if with_rg:
-        c.add_cell(CellInstance("rg", "RG", replicas=3))
-        c.expose_input("rst", ("rg", "in"))
-        c.connect(("rg", "out"), ("mem", "rst"))
-    else:
-        c.expose_input("rst", ("mem", "rst"))
-    c.connect(("cbu", "out"), ("mem", "set"))
-    c.connect(("mem", "out"), ("spl", "in"))
-    c.expose_output(("spl", "out0"), "out")
-    c.connect(("spl", "out1"), ("jtl", "in"))
-    c.connect(("jtl", "out"), ("cbu", "in1"))
-    return c
+    name = "mndro-rst" if with_rg else "mndro-dec"
+    return _memory_block(name, 3, t, clk_mcg=True, rst_rg=with_rg)
 
 
 BUILTIN_CIRCUITS = {

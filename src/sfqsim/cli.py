@@ -15,8 +15,7 @@ import tempfile
 from dataclasses import fields
 
 from . import data
-from .analog import SimulationError, StructuralError, TransientConfig
-from .analog import run_transient, storage_capacity
+from .analog import SimulationError, StructuralError, run_transient, storage_capacity
 from .cells import (
     BUILTIN_CIRCUITS,
     PS,
@@ -60,23 +59,31 @@ class CliError(Exception):
 
 
 def _read_file(path: str) -> str:
-    if not os.path.exists(path):
-        raise CliError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise CliError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sfqsim-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sfqsim-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_netlist(path: str):
@@ -92,7 +99,7 @@ def _load_schedule(path_or_name: str):
     else:
         try:
             text = data.load_text(path_or_name)
-        except FileNotFoundError:
+        except OSError:  # no such shipped file, or a directory such as "" (the data root)
             raise CliError(f"schedule not found: {path_or_name}") from None
     try:
         return read_schedule(text)
@@ -140,19 +147,14 @@ def cmd_tran(args) -> int:
         for d in diags:
             print(d, file=sys.stderr)
         return EXIT_FUNCTIONAL
+    dt = parse_value(args.dt) if args.dt else None
+    tstop = parse_value(args.tstop) if args.tstop else None
     try:
-        cfg = TransientConfig(
-            dt=parse_value(args.dt) if args.dt else None,
-            tstop=parse_value(args.tstop) if args.tstop else None,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        wave, events = run_transient(flatten(netlist), cfg)
+        wave, events = run_transient(flatten(netlist), dt, tstop)
     except SimulationError as exc:
         print(f"transient failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (StructuralError, NetlistError) as exc:
+    except (StructuralError, ValueError) as exc:  # ValueError: dt <= 0, or a NetlistError
         raise CliError(str(exc)) from exc
     trace = [PulseEvent(e.time, e.junction) for e in events]
     if args.out:
@@ -184,13 +186,13 @@ def cmd_bsim(args) -> int:
         raise CliError(str(exc)) from exc
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    if args.vcd:
+        _write_atomic(args.vcd, write_vcd_events(result.outputs))
     text = write_events(result.outputs)
     if args.events:
         _write_atomic(args.events, text)
     else:
         print(text, end="")
-    if args.vcd:
-        _write_atomic(args.vcd, write_vcd_events(result.outputs))
     return EXIT_OK
 
 
@@ -221,10 +223,9 @@ def cmd_margins(args) -> int:
     except MarginError as exc:
         print(f"margin sweep failed: {exc}", file=sys.stderr)
         return EXIT_FUNCTIONAL
-    text = render_report(report)
-    print(text, end="")
     if args.out:
         _write_atomic(args.out, report_csv(report))
+    print(render_report(report), end="")
     return EXIT_OK
 
 

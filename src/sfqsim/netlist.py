@@ -18,11 +18,12 @@ decimal exponent shift, so "2.09p" is exactly the literal 2.09e-12. Node "0"
 is ground. A first line that does not begin with an element key or directive
 is kept as the netlist title (SPICE convention).
 
-Every source is a PWL: "dc v" is the one point (0, v) and "pulse(t0 amp w)"
-the triangle (t0, 0), (t0 + w/2, amp), (t0 + w, 0); source times must be
-finite and strictly increasing. At most one .tran line is allowed. A .print
-line is checked for syntax and otherwise ignored: the writers emit every
-column.
+A current source is its PWL points, (time, value) pairs: "dc v" is the one
+point (0, v) and "pulse(t0 amp w)" the triangle (t0, 0), (t0 + w/2, amp),
+(t0 + w, 0); source times must be finite and strictly increasing. Before its
+first time a source holds its first value, after its last time its last
+value. At most one .tran line is allowed. A .print line is checked for
+syntax and otherwise ignored: the writers emit every column.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 GROUND = "0"
 
@@ -79,25 +82,6 @@ def parse_value(token: str, lineno: int | None = None) -> float:
     return value
 
 
-# --- source waveforms -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PWL:
-    points: tuple[tuple[float, float], ...]
-
-    def value_at(self, t: float) -> float:
-        pts = self.points
-        if t <= pts[0][0]:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return pts[-1][1]
-
-
 # --- elements ----------------------------------------------------------------
 
 
@@ -131,7 +115,7 @@ class CurrentSource:
     name: str
     pos: str
     neg: str
-    spec: PWL
+    points: tuple[tuple[float, float], ...]  # PWL (time, value), times strictly increasing
 
 
 @dataclass(frozen=True)
@@ -243,7 +227,7 @@ def _parse_model_line(tokens: list[str], raw: str, lineno: int) -> JJModel:
     return JJModel(name=name, **kwargs)
 
 
-def _pwl(points, lineno: int) -> PWL:
+def _pwl(points, lineno: int) -> tuple[tuple[float, float], ...]:
     """The one check of every source form: finite, strictly increasing times."""
     points = tuple(points)
     times = [t for t, _ in points]
@@ -251,10 +235,10 @@ def _pwl(points, lineno: int) -> PWL:
         raise NetlistError("source times must be finite", lineno)
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise NetlistError("source times must be strictly increasing", lineno)
-    return PWL(points)
+    return points
 
 
-def _parse_source_spec(rest: str, lineno: int) -> PWL:
+def _parse_source_spec(rest: str, lineno: int) -> tuple[tuple[float, float], ...]:
     text = rest.strip()
     if text.lower().startswith("dc"):
         toks = text.split()
@@ -568,7 +552,7 @@ def lint(netlist: Netlist) -> list[Diagnostic]:
         diags.append(Diagnostic("warn", "missing-tran", "no .tran analysis"))
 
     for e in flat.elements:
-        if isinstance(e, CurrentSource) and e.spec.value_at(0.0) != 0.0:
+        if isinstance(e, CurrentSource) and np.interp(0.0, *zip(*e.points)) != 0.0:
             diags.append(
                 Diagnostic(
                     "warn", "hard-dc-step", f"{e.name} steps to a nonzero value at t=0"

@@ -45,15 +45,19 @@ def _parse_ps(token: str, lineno: int) -> float:
     return time_ps
 
 
+def _tokenized_lines(text: str):
+    """(lineno, raw line, tokens) for every line left non-empty once its # comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
+
+
 def read_schedule(text: str) -> PulseSchedule:
     """Parse `port <name>` declarations and `pulse <port> <time_ps>` events."""
     sched = PulseSchedule()
     declared: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, _, tokens in _tokenized_lines(text):
         key = tokens[0].lower()
         if key == "port":
             if len(tokens) != 2:
@@ -81,11 +85,7 @@ def read_schedule(text: str) -> PulseSchedule:
 def read_events(text: str) -> list[PulseEvent]:
     """Lenient trace reader: ports are implicitly declared on first use."""
     events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, raw, tokens in _tokenized_lines(text):
         if tokens[0].lower() == "port":
             continue
         if tokens[0].lower() != "pulse" or len(tokens) != 3:
@@ -104,12 +104,7 @@ def write_events(events: list[PulseEvent]) -> str:
 
 
 def write_schedule(schedule: PulseSchedule) -> str:
-    lines = [f"port {p}" for p in schedule.ports]
-    lines += [
-        f"pulse {e.port} {_fmt_ps(e.time)}"
-        for e in sorted(schedule.events, key=lambda e: (e.time, e.port))
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"port {p}\n" for p in schedule.ports) + write_events(schedule.events)
 
 
 def write_waveform_csv(waveform) -> str:

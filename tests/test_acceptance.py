@@ -14,7 +14,6 @@ from conftest import oracle_matches, random_symbols, schedule_from_symbols
 from sfqsim import bench, data
 from sfqsim.analog import (
     PHI0,
-    TransientConfig,
     pulse_area,
     run_transient,
     storage_capacity,
@@ -137,17 +136,17 @@ def test_criterion_6_feedback_timing_and_overhead():
 def test_criterion_7_flux_quantization_and_convergence():
     start = time.monotonic()
     flat = flatten(parse_netlist(data.load_text("single_jj_tb.cir")))
-    wave, events = run_transient(flat, TransientConfig(dt=0.1e-12, tstop=200e-12))
+    wave, events = run_transient(flat, dt=0.1e-12, tstop=200e-12)
     assert len(events) >= 10
     for e0, e1 in zip(events[:-1], events[1:]):
         area = pulse_area(wave, "B1", (e0.time, e1.time))
         assert abs(area - PHI0) / PHI0 < 0.01
 
     ref_dt = 0.1e-12 / 8
-    ref, _ = run_transient(flat, TransientConfig(dt=ref_dt, tstop=100e-12))
+    ref, _ = run_transient(flat, dt=ref_dt, tstop=100e-12)
 
     def err(dt):
-        w, _ = run_transient(flat, TransientConfig(dt=dt, tstop=100e-12))
+        w, _ = run_transient(flat, dt=dt, tstop=100e-12)
         stride = int(round(dt / ref_dt))
         r = ref.voltages[::stride]
         n = min(len(r), len(w.voltages))
@@ -164,7 +163,7 @@ def test_criterion_8_jtl_chain_conserves_pulse_trains():
     start = time.monotonic()
     for n_pulses in range(1, 6):
         flat = flatten(parse_netlist(bench.jtl_chain_tb(n_pulses=n_pulses)))
-        _, events = run_transient(flat, TransientConfig(dt=0.1e-12))
+        _, events = run_transient(flat, dt=0.1e-12)
         n_in = sum(1 for e in events if e.junction == "B1")
         n_out = sum(1 for e in events if e.junction == "B5")
         assert n_in == n_pulses

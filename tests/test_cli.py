@@ -219,7 +219,11 @@ BAD_FILES = {
     # two instances of one subcircuit: B1 and L1 match X1.* and X2.*
     "two_inst_cir": ".subckt cell a\nB1 a 0 jj1\nL1 a 0 2p\n.ends\nX1 n1 cell\nX2 n2 cell\n"
     ".model jj1 jj(icrit=100u)\n",
+    # a Latin-1 "µ" (byte 0xb5) is not UTF-8
+    "latin1_cir": "R1 1 0 5\nI1 0 1 dc 1\xb5\n.tran 0.1p 10p\n".encode("latin-1"),
 }
+# a path whose directory does not exist
+NO_DIR_OUT = str(DATA / "no-such-dir" / "out.csv")
 
 
 @pytest.mark.parametrize(
@@ -256,11 +260,21 @@ BAD_FILES = {
         ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", ","],
         ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", "L2"],
         ["capacity", "--netlist", "{two_inst_cir}", "--loop", "B1,L1"],
+        # unreadable or unwritable paths
+        ["tran", str(DATA)],
+        ["lint", "{latin1_cir}"],
+        ["oracle", "--kind", "ndro", "--schedule", "tb_fig7.sched", "--events", str(DATA)],
+        ["bsim", "--circuit", "ndro", "--schedule", str(DATA)],
+        ["bsim", "--circuit", "ndro", "--schedule", ""],  # resolves to the shipped-data directory
+        ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "1p", "--out", NO_DIR_OUT],
+        ["margins", "ndro", "--schedule", "tb_fig7.sched", "--param", "mem_delay",
+         "--resolution", "0.05", "--out", NO_DIR_OUT],
+        ["bsim", "--circuit", "ndro", "--schedule", "tb_fig7.sched", "--vcd", NO_DIR_OUT],
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):
     for name, text in BAD_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run([a.format_map({n: tmp_path / n for n in BAD_FILES}) for a in argv], capsys)
     assert code == 2
     assert out == ""
