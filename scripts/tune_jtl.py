@@ -11,7 +11,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sfqsim import bench
-from sfqsim.analog import run_transient
+from sfqsim.analog import Circuit, run_transient
 from sfqsim.netlist import flatten, parse_netlist
 
 
@@ -20,11 +20,14 @@ def count_slips(events, junction):
 
 
 def main():
+    # one compiled chain per pulse width; the amplitude scales its drive pulses Ip1, Ip2, ...
+    texts = {w: bench.jtl_chain_tb(width_ps=w) for w in (4, 6, 8)}
+    chains = {w: Circuit.from_netlist(flatten(parse_netlist(t))) for w, t in texts.items()}
     for amp_ua in (300, 400, 500, 600):
-        for width_ps in (4, 6, 8):
-            net = bench.jtl_chain_tb(amp_ua=amp_ua, width_ps=width_ps)
-            flat = flatten(parse_netlist(net))
-            _, events = run_transient(flat, dt=0.1e-12)
+        scale = amp_ua / bench.JTL_DRIVE_UA
+        for width_ps, chain in chains.items():
+            drive = {n: scale for n in chain.source_names if n.startswith("Ip")}
+            _, events = run_transient(chain.scaled(drive), dt=0.1e-12)
             first = count_slips(events, "B1")
             last = count_slips(events, "B5")
             print(f"amp={amp_ua}u width={width_ps}p: B1={first} B5={last}")

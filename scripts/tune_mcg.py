@@ -11,15 +11,15 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sfqsim import bench
-from sfqsim.analog import run_transient
+from sfqsim.analog import Circuit, run_transient
 from sfqsim.netlist import flatten, parse_netlist
 
 
 def main():
     print(f"width = {bench.MCG_DRIVE_WIDTH_PS} ps, shipped amplitude = {bench.MCG_DRIVE_UA} uA")
+    base = Circuit.from_netlist(flatten(parse_netlist(bench.mcg_tb())))
     for amp in range(400, 621, 20):
-        flat = flatten(parse_netlist(bench.mcg_tb(amp_ua=amp)))
-        _, events = run_transient(flat)
+        _, events = run_transient(base.scaled({"Iin": amp / bench.MCG_DRIVE_UA}))
         times = [e.time * 1e12 for e in events if e.junction == bench.MCG_OUTPUT_JUNCTION]
         spacing = (
             " ".join(f"{t1 - t0:.1f}" for t0, t1 in zip(times, times[1:])) or "-"

@@ -8,6 +8,7 @@ and operating-margin search on top.
 
 from .analog import (
     PHI0,
+    Circuit,
     CircuitState,
     FluxoidLoop,
     PhaseSlipEvent,

@@ -29,9 +29,13 @@ a junction with cap=0 needs an rn or r0 shunt. Newton stops when no node
 voltage moves by NEWTON_VTOL and no inductor current by NEWTON_ITOL; a step
 still moving after NEWTON_MAX_ITERS iterations is halved, down to dt/64.
 
-A current source is its PWL points. At setup the engine tabulates all
-sources on the sorted union of their times and 0, so s(t) at a step is one
-bisect and at most one row interpolation.
+A flat netlist compiles once into a Circuit: the incidence matrices, the
+h-independent part of A_h, the junction and inductor value arrays and a
+source table, which holds every source on the sorted union of their PWL
+times and 0, so s(t) at a step is one bisect and at most one row
+interpolation. A parameter variant is Circuit.scaled, a copy with scaled
+value arrays; each run builds its own step maps and table differences from
+the arrays it is given.
 
 SFQ pulses are detected as upward crossings of phi through pi + 2*pi*k,
 timestamped by linear interpolation between samples.
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from .netlist import (
     Netlist,
     NetlistError,
     Resistor,
+    Tran,
 )
 
 PHI0 = 2.067833848e-15  # flux quantum h/2e, webers
@@ -129,13 +134,129 @@ class Waveform:
         )
 
 
-class _Engine:
-    """One transient run over a flat netlist; owns all mutable state."""
+@dataclass(frozen=True, eq=False)
+class Circuit:
+    """A flat netlist compiled once: its topology, and its element values as read-only arrays.
 
-    def __init__(self, flat: Netlist, dt: float | None = None, tstop: float | None = None):
+    Dj, Dl and Ds are the junction, inductor and source incidence matrices and
+    base the h-independent part of A_h; ic, cap, g and l are the values that
+    enter A_h and the step. A run derives everything else from these arrays,
+    so a scaled copy carries no stale data.
+    """
+
+    node_names: list[str]
+    junction_names: list[str]
+    inductor_names: list[str]
+    source_names: list[str]
+    junction_nodes: dict[str, tuple[int, int]]
+    Dj: np.ndarray
+    Dl: np.ndarray
+    Ds: np.ndarray
+    base: np.ndarray
+    ic: np.ndarray
+    cap: np.ndarray
+    g: np.ndarray
+    l: np.ndarray
+    src_t: list[float]  # breakpoints: the sorted union of all source times and 0
+    src_v: np.ndarray   # one row per breakpoint, one column per source
+    tran: Tran | None
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @classmethod
+    def from_netlist(cls, flat: Netlist) -> "Circuit":
         if not flat.is_flat():
             raise StructuralError("netlist must be flattened before simulation")
-        tran = flat.tran
+        node_names = flat.nodes()
+        nn = len(node_names)
+        node_index = {n: i for i, n in enumerate(node_names)}
+
+        def of_type(kind):
+            return [e for e in flat.elements if isinstance(e, kind)]
+
+        junctions = of_type(Junction)
+        inductors = of_type(Inductor)
+        resistors = of_type(Resistor)
+        sources = of_type(CurrentSource)
+        n = nn + len(inductors)
+
+        def incidence(elements) -> np.ndarray:
+            D = np.zeros((n, len(elements)))
+            for k, e in enumerate(elements):
+                if e.pos != GROUND:
+                    D[node_index[e.pos], k] += 1.0
+                if e.neg != GROUND:
+                    D[node_index[e.neg], k] -= 1.0
+            return D
+
+        Dl = incidence(inductors)
+        Dr = incidence(resistors)
+        # resistors, inductor currents entering KCL, and the unit diagonal of the inductor rows
+        base = (Dr / np.array([r.value for r in resistors])) @ Dr.T
+        base[:, nn:] += Dl
+        base[nn:, nn:] += np.eye(len(inductors))
+
+        cards = [flat.models.get(j.model.lower()) for j in junctions]
+        for j, card in zip(junctions, cards):
+            if card is None:
+                raise NetlistError(f"unknown model reference {j.model!r} in {j.name}")
+        area = np.array([j.area for j in junctions])
+
+        src_t = sorted({0.0, *(t for s in sources for t, _ in s.points)})
+        src_v = np.zeros((len(src_t), len(sources)))
+        for k, s in enumerate(sources):
+            src_v[:, k] = np.interp(src_t, *zip(*s.points))
+
+        return cls(
+            node_names=node_names,
+            junction_names=[j.name for j in junctions],
+            inductor_names=[l.name for l in inductors],
+            source_names=[s.name for s in sources],
+            junction_nodes={
+                j.name: tuple(-1 if p == GROUND else node_index[p] for p in (j.pos, j.neg))
+                for j in junctions
+            },
+            Dj=incidence(junctions),
+            Dl=Dl,
+            Ds=incidence(sources),
+            base=base,
+            ic=np.array([m.icrit for m in cards]) * area,
+            cap=np.array([CAP_PER_AMP * m.icrit if m.cap is None else m.cap for m in cards]) * area,
+            g=np.array([sum(1.0 / r for r in (m.rn, m.r0) if r is not None) for m in cards]),
+            l=np.array([l.value for l in inductors]),
+            src_t=src_t,
+            src_v=src_v,
+            tran=flat.tran,
+        )
+
+    def scaled(self, factors: dict[str, float]) -> "Circuit":
+        """A copy with a junction's Ic, or all of a source's values, scaled per element name.
+
+        Scaling Ic leaves the junction's cap and shunt as they are (a
+        critical-current spread). Names match case-insensitively; a name that
+        is not a junction or a source raises ValueError.
+        """
+        ic, src_v = self.ic.copy(), self.src_v.copy()
+        junctions = [n.lower() for n in self.junction_names]
+        sources = [n.lower() for n in self.source_names]
+        for name, factor in factors.items():
+            if name.lower() in junctions:
+                ic[junctions.index(name.lower())] *= factor
+            elif name.lower() in sources:
+                src_v[:, sources.index(name.lower())] *= factor
+            else:
+                raise ValueError(f"cannot scale {name!r}: not a junction or source of the circuit")
+        return replace(self, ic=ic, src_v=src_v)
+
+
+class _Engine:
+    """One transient run of a compiled circuit; owns all mutable state."""
+
+    def __init__(self, circuit: Circuit, dt: float | None = None, tstop: float | None = None):
+        tran = circuit.tran
         self.dt = dt if dt is not None else (tran.step if tran else 0.1e-12)
         if tstop is None:
             if tran is None:
@@ -150,79 +271,30 @@ class _Engine:
                 f"stop time {tstop:g} s must be after the start time {self.tstart:g} s"
             )
 
-        self.node_names = flat.nodes()
-        self.nn = nn = len(self.node_names)
-        node_index = {n: i for i, n in enumerate(self.node_names)}
-
-        def of_type(cls):
-            return [e for e in flat.elements if isinstance(e, cls)]
-
-        self.junctions = of_type(Junction)
-        self.inductors = of_type(Inductor)
-        resistors = of_type(Resistor)
-        sources = of_type(CurrentSource)
-        n = nn + len(self.inductors)
-
-        def incidence(elements) -> np.ndarray:
-            D = np.zeros((n, len(elements)))
-            for k, e in enumerate(elements):
-                if e.pos != GROUND:
-                    D[node_index[e.pos], k] += 1.0
-                if e.neg != GROUND:
-                    D[node_index[e.neg], k] -= 1.0
-            return D
-
-        self.Dj = incidence(self.junctions)
-        self.Dl = incidence(self.inductors)
-        self.Ds = incidence(sources)
-        Dr = incidence(resistors)
-        self.junction_nodes = {
-            j.name: tuple(-1 if p == GROUND else node_index[p] for p in (j.pos, j.neg))
-            for j in self.junctions
-        }
-
-        self.j_ic = np.empty(len(self.junctions))
-        self.j_cap = np.empty(len(self.junctions))
-        self.j_g = np.empty(len(self.junctions))
-        for k, j in enumerate(self.junctions):
-            model = flat.models.get(j.model.lower())
-            if model is None:
-                raise NetlistError(f"unknown model reference {j.model!r} in {j.name}")
-            self.j_ic[k] = model.icrit * j.area
-            cap = model.cap if model.cap is not None else CAP_PER_AMP * model.icrit
-            self.j_cap[k] = cap * j.area
-            self.j_g[k] = sum(1.0 / r for r in (model.rn, model.r0) if r is not None)
-        self.l_val = np.array([l.value for l in self.inductors])
-        self.eye_j = np.eye(len(self.junctions))
-
-        # h-independent part: resistors, inductor currents entering KCL, and the
-        # unit diagonal of the inductor rows
-        self.base = (Dr / np.array([r.value for r in resistors])) @ Dr.T
-        self.base[:, nn:] += self.Dl
-        self.base[nn:, nn:] += np.eye(len(self.inductors))
+        # the arrays the step reads, bound once
+        self.circuit = c = circuit
+        self.nn = nn = len(c.node_names)
+        self.Dj, self.ic, self.cap = c.Dj, c.ic, c.cap
+        nj = len(c.junction_names)
+        self.eye_j = np.eye(nj)
         # Newton tolerance per unknown: volts on node rows, amperes on inductor rows
-        self.tol = np.full(n, NEWTON_VTOL)
+        self.tol = np.full(len(c.base), NEWTON_VTOL)
         self.tol[nn:] = NEWTON_ITOL
         self.systems: dict[float, tuple[np.ndarray, ...]] = {}  # step h -> _system(h)
 
-        # source table: one row per breakpoint, one column per source
-        self.src_t = sorted({0.0, *(t for s in sources for t, _ in s.points)})
-        grid = np.array(self.src_t)
-        self.src_v = np.zeros((len(grid), len(sources)))
-        for k, s in enumerate(sources):
-            self.src_v[:, k] = np.interp(grid, *zip(*s.points))
-        self.src_dv = np.diff(self.src_v, axis=0)
-        self.src_dt = np.diff(grid).tolist()
+        self.src_t, self.src_v = c.src_t, c.src_v
+        self.src_dv = np.diff(c.src_v, axis=0)
+        self.src_dt = np.diff(c.src_t).tolist()
         # rows to return as they are: no source moves before the next row, or it is the last
         self.src_hold = [*(~self.src_dv.any(axis=1)).tolist(), True]
 
         # state
-        self.x = np.zeros(n)
-        self.phi = np.zeros(len(self.junctions))
-        self.jv = np.zeros(len(self.junctions))       # junction voltage
-        self.jdvdt = np.zeros(len(self.junctions))
-        self.slip_count = np.zeros(len(self.junctions), dtype=int)
-        self.next_level = np.full(len(self.junctions), SLIP_PHASE)
+        self.x = np.zeros(len(c.base))
+        self.phi = np.zeros(nj)
+        self.jv = np.zeros(nj)       # junction voltage
+        self.jdvdt = np.zeros(nj)
+        self.slip_count = np.zeros(nj, dtype=int)
+        self.next_level = np.full(nj, SLIP_PHASE)
         self.events: list[PhaseSlipEvent] = []
         self.time = 0.0
 
@@ -237,15 +309,15 @@ class _Engine:
         """The maps of the step-h linear system: (P, M, Q, S), see the module docstring."""
         maps = self.systems.get(h)
         if maps is None:
-            nn = self.nn
-            hl = h / (2.0 * self.l_val)
-            A = self.base.copy()
-            A[nn:] -= hl[:, None] * self.Dl.T
-            A += (self.Dj * (self.j_g + 2.0 * self.j_cap / h)) @ self.Dj.T
+            c, nn = self.circuit, self.nn
+            hl = h / (2.0 * c.l)
+            A = c.base.copy()
+            A[nn:] -= hl[:, None] * c.Dl.T
+            A += (c.Dj * (c.g + 2.0 * c.cap / h)) @ c.Dj.T
             try:
                 A_inv = np.linalg.inv(A)
             except np.linalg.LinAlgError:
-                bare = [self.node_names[i] for i in np.flatnonzero(~A[:nn].any(axis=1))]
+                bare = [c.node_names[i] for i in np.flatnonzero(~A[:nn].any(axis=1))]
                 where = f" at node(s) {', '.join(bare)}" if bare else ""
                 raise StructuralError(
                     f"singular system matrix{where}: every node needs a resistive, capacitive"
@@ -253,9 +325,9 @@ class _Engine:
                 ) from None
             P = A_inv @ self.Dj
             # inductor rows of the right-hand side: x_L + h/2L * Dl^T x
-            hist = hl[:, None] * self.Dl.T
-            hist[:, nn:] += np.eye(len(self.inductors))
-            maps = (P, self.Dj.T @ P, A_inv[:, nn:] @ hist, -A_inv @ self.Ds)
+            hist = hl[:, None] * c.Dl.T
+            hist[:, nn:] += np.eye(len(c.l))
+            maps = (P, c.Dj.T @ P, A_inv[:, nn:] @ hist, -A_inv @ c.Ds)
             self.systems[h] = maps
         return maps
 
@@ -278,14 +350,14 @@ class _Engine:
 
         a = math.pi * h / PHI0  # phase gain per volt: (2*pi/PHI0)*(h/2)
         phi_hist = self.phi + a * self.jv
-        i_hist = -self.j_cap * (2.0 / h * self.jv + self.jdvdt)
-        ic_a = self.j_ic * a
+        i_hist = -self.cap * (2.0 / h * self.jv + self.jdvdt)
+        ic_a = self.ic * a
 
         x, v = self.x, self.jv
         for _ in range(NEWTON_MAX_ITERS):
             theta = phi_hist + a * v
             g_sin = ic_a * np.cos(theta)
-            w0 = self.j_ic * np.sin(theta) + i_hist - g_sin * v
+            w0 = self.ic * np.sin(theta) + i_hist - g_sin * v
             try:
                 v = np.linalg.solve(self.eye_j + M * g_sin, u - M @ w0)
             except np.linalg.LinAlgError as exc:
@@ -310,7 +382,9 @@ class _Engine:
                     frac = (level - self.phi[k]) / (phi_new[k] - self.phi[k])
                     self.events.append(
                         PhaseSlipEvent(
-                            self.junctions[k].name, self.time + frac * h, int(self.slip_count[k])
+                            self.circuit.junction_names[k],
+                            self.time + frac * h,
+                            int(self.slip_count[k]),
                         )
                     )
                     self.slip_count[k] += 1
@@ -327,12 +401,12 @@ class _Engine:
         # the last sample reaches tstop; the 1e-9 keeps float noise in the ratio
         # of a whole number of steps from adding one
         nsteps = math.ceil(self.tstop / self.dt - 1e-9)
-        nn = self.nn
+        c, nn = self.circuit, self.nn
         try:
             times = np.empty(nsteps + 1)
             volts = np.empty((nsteps + 1, nn))
-            phases = np.empty((nsteps + 1, len(self.junctions)))
-            il = np.empty((nsteps + 1, len(self.inductors)))
+            phases = np.empty((nsteps + 1, len(c.junction_names)))
+            il = np.empty((nsteps + 1, len(c.inductor_names)))
         except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
             raise StructuralError(f"cannot allocate samples for {nsteps} time steps") from exc
 
@@ -352,26 +426,28 @@ class _Engine:
         keep = times >= self.tstart - 1e-18
         wave = Waveform(
             times=times[keep],
-            node_names=list(self.node_names),
-            junction_names=[j.name for j in self.junctions],
-            inductor_names=[l.name for l in self.inductors],
+            node_names=list(c.node_names),
+            junction_names=list(c.junction_names),
+            inductor_names=list(c.inductor_names),
             voltages=volts[keep],
             phases=phases[keep],
             inductor_currents=il[keep],
-            junction_nodes=self.junction_nodes,
+            junction_nodes=c.junction_nodes,
         )
         events = [e for e in self.events if e.time >= self.tstart]
         return wave, events
 
 
 def run_transient(
-    flat: Netlist, dt: float | None = None, tstop: float | None = None
+    circuit: Circuit | Netlist, dt: float | None = None, tstop: float | None = None
 ) -> tuple[Waveform, list[PhaseSlipEvent]]:
-    """Simulate a flattened netlist; returns sampled waveforms and slip events.
+    """Simulate a compiled circuit or a flat netlist; returns sampled waveforms and slip events.
 
     dt defaults to the .tran step, else 0.1 ps; tstop to the .tran stop.
     """
-    return _Engine(flat, dt, tstop).run()
+    if isinstance(circuit, Netlist):
+        circuit = Circuit.from_netlist(circuit)
+    return _Engine(circuit, dt, tstop).run()
 
 
 def pulse_area(waveform: Waveform, junction: str, window: tuple[float, float]) -> float:

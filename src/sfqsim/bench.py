@@ -2,10 +2,12 @@
 
 These generate the netlist text behind the shipped .cir data files
 (scripts/make_testbenches.py freezes them) and let tests and experiments vary
-stimulus counts and drive levels. Drive/bias values were chosen by the scans
-in scripts/tune_*.py; the cell topologies are reconstructions, since only
-element values and the storage-loop membership are published for the
-originals.
+stimulus counts. A value variant is not new text: compile the testbench once
+with analog.Circuit.from_netlist and vary it with Circuit.scaled, as the
+drive scans in scripts/tune_jtl.py and scripts/tune_mcg.py and the analog
+margins in scripts/run_margins.py do. The set/reset cell topologies are
+reconstructions, since only element values and the storage-loop membership
+are published for the originals; they neither store nor read.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def storage_loop_tb(n_sets: int = 1, multi: bool = False) -> str:
 STORAGE_LOOP_NAMES = ["Ls", "Bq", "Bin"]  # traversal order for fluxoid counting
 
 
-def mcg_tb(amp_ua: float = MCG_DRIVE_UA) -> str:
+def mcg_tb() -> str:
     """Threshold-gate pulse multiplier tuned to emit 3 output slips on B3.
 
     The drive window for exactly three pulses spans roughly 480..580 uA at
@@ -139,7 +141,7 @@ def mcg_tb(amp_ua: float = MCG_DRIVE_UA) -> str:
         _jj_model("jj1", 170),
         _jj_model("jj2", 150),
         _jj_model("jj3", 230),
-        f"Iin 0 m0 pulse(100p {amp_ua}u {MCG_DRIVE_WIDTH_PS}p)",
+        f"Iin 0 m0 pulse(100p {MCG_DRIVE_UA}u {MCG_DRIVE_WIDTH_PS}p)",
         "L1 m0 m1 0.6p",
         "B1 m1 0 jj1",
         "L2 m1 m2 7p",
@@ -161,21 +163,20 @@ def mcg_tb(amp_ua: float = MCG_DRIVE_UA) -> str:
 MCG_OUTPUT_JUNCTION = "B3"
 
 
-def rdff_models(params: dict) -> list[str]:
-    """Model cards mj1 ... mj11 for the cell junctions J1 ... J11."""
-    return [_jj_model(f"mj{k}", params[f"J{k}"]) for k in range(1, 12)]
+def rdff_cell_tb(params: dict, label: str) -> str:
+    """Set/reset flip-flop cell testbench: set, two clocks, reset, one more clock.
 
-
-def rdff_elements(params: dict) -> list[str]:
-    """The 27 junctions, inductors and shunts of the set/reset flip-flop cell.
-
-    Storage loop is B1-L2-L6-B6-B7; set, clock, and reset branches enter
-    through buffered junctions with series couplers; output leaves from the
-    comparator midpoint. The wiring is canonical rather than extracted, so
-    this cell is a structural reference, not a timing-accurate replica.
+    The cell is a biased subcircuit. Storage loop is B1-L2-L6-B6-B7; set,
+    clock, and reset branches enter through buffered junctions with series
+    couplers; output leaves from the comparator midpoint. The wiring is
+    canonical rather than extracted, and the cell neither stores nor reads:
+    it is a topology fixture.
     """
     p = params
-    return [
+    lines = [f"* {label} memory cell testbench (reconstructed topology, see README)"]
+    lines += [_jj_model(f"mj{k}", p[f"J{k}"]) for k in range(1, 12)]
+    lines += [
+        ".subckt rdff set clk rst out",
         "L1 set s1 %(L1)sp" % p,
         "B2 s1 0 mj2",
         "L3 s1 s2 %(L3)sp" % p,
@@ -204,28 +205,14 @@ def rdff_elements(params: dict) -> list[str]:
         "R4 o1 0 %(R4)s" % p,
         "R5 c1 0 %(R5)s" % p,
     ]
-
-
-def rdff_cell(params: dict) -> list[str]:
-    """Reconstructed set/reset flip-flop cell as a biased subcircuit."""
-    p = params
-    lines = [".subckt rdff set clk rst out"] + rdff_elements(p)
     for i, (node, ic_key) in enumerate(
         [("s1", "J2"), ("c1", "J10"), ("o1", "J8"), ("o2", "J11")], start=1
     ):
         bias = round(0.7 * p[ic_key])
         lines.append(f"LB{i} {node} nb{i} 2p")
         lines.append(f"IB{i} 0 nb{i} pwl(0 0 50p {bias}u)")
-    lines.append(".ends")
-    return lines
-
-
-def rdff_cell_tb(params: dict | None = None, label: str = "ndro") -> str:
-    """Full cell testbench: set, two clocks, reset, one more clock."""
-    p = params or NDRO_PARAMS
-    lines = [f"* {label} memory cell testbench (reconstructed topology, see README)"]
-    lines += rdff_models(p) + rdff_cell(p)
     lines += [
+        ".ends",
         "X1 nset nclk nrst nout rdff",
         "Iset 0 nset pulse(100p 500u 8p)",
         "Iclk1 0 nclk pulse(200p 400u 8p)",

@@ -3,7 +3,8 @@
 Subcommands: lint, tran, bsim, oracle, margins, capacity. Exit codes:
 0 success, 1 functional failure (lint errors, oracle mismatch, failing
 nominal margin), 2 input error (paths, parse), 3 numerical failure
-(non-convergent transient). Outputs are written atomically.
+(non-convergent transient). A command writes all of its output files or,
+on failure, none of them.
 """
 
 from __future__ import annotations
@@ -70,20 +71,27 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+def _write_outputs(outputs: dict[str, str]) -> None:
+    """Write each path's text, or none of them: every file is staged in a temp
+    file next to its target, and the renames start once all are staged."""
+    staged: list[str] = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sfqsim-")
-        try:
+        for path, text in outputs.items():
+            if os.path.isdir(path):  # the one target that would fail only at its rename
+                raise CliError(f"cannot write {path}: Is a directory")
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sfqsim-")
+            staged.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
                 f.write(text)
+        for tmp, path in zip(staged, outputs):
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _load_netlist(path: str):
@@ -157,16 +165,16 @@ def cmd_tran(args) -> int:
     except (StructuralError, ValueError) as exc:  # ValueError: dt <= 0, or a NetlistError
         raise CliError(str(exc)) from exc
     trace = [PulseEvent(e.time, e.junction) for e in events]
+    outputs = {args.events: write_events(trace)} if args.events else {}
     if args.out:
-        _write_atomic(args.out, write_waveform_csv(wave))
-    if args.events:
-        _write_atomic(args.events, write_events(trace))
+        outputs[args.out] = write_waveform_csv(wave)
     if args.vcd:
-        _write_atomic(args.vcd, write_vcd_waveform(wave))
-    if not (args.out or args.events or args.vcd):
-        print(write_events(trace), end="")
-    else:
+        outputs[args.vcd] = write_vcd_waveform(wave)
+    _write_outputs(outputs)
+    if outputs:
         print(f"{len(events)} phase-slip events")
+    else:
+        print(write_events(trace), end="")
     return EXIT_OK
 
 
@@ -186,12 +194,12 @@ def cmd_bsim(args) -> int:
         raise CliError(str(exc)) from exc
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if args.vcd:
-        _write_atomic(args.vcd, write_vcd_events(result.outputs))
     text = write_events(result.outputs)
-    if args.events:
-        _write_atomic(args.events, text)
-    else:
+    outputs = {args.events: text} if args.events else {}
+    if args.vcd:
+        outputs[args.vcd] = write_vcd_events(result.outputs)
+    _write_outputs(outputs)
+    if not args.events:
         print(text, end="")
     return EXIT_OK
 
@@ -224,7 +232,7 @@ def cmd_margins(args) -> int:
         print(f"margin sweep failed: {exc}", file=sys.stderr)
         return EXIT_FUNCTIONAL
     if args.out:
-        _write_atomic(args.out, report_csv(report))
+        _write_outputs({args.out: report_csv(report)})
     print(render_report(report), end="")
     return EXIT_OK
 

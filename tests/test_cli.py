@@ -270,15 +270,25 @@ NO_DIR_OUT = str(DATA / "no-such-dir" / "out.csv")
         ["margins", "ndro", "--schedule", "tb_fig7.sched", "--param", "mem_delay",
          "--resolution", "0.05", "--out", NO_DIR_OUT],
         ["bsim", "--circuit", "ndro", "--schedule", "tb_fig7.sched", "--vcd", NO_DIR_OUT],
+        # a later output that cannot be written: the earlier one must not be left behind
+        ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "1p", "--out", "{ok}",
+         "--events", NO_DIR_OUT],
+        ["tran", str(DATA / "single_jj_tb.cir"), "--tstop", "1p", "--out", "{ok}",
+         "--events", "{tmp}"],
+        ["bsim", "--circuit", "ndro", "--schedule", "tb_fig7.sched", "--vcd", "{ok}",
+         "--events", NO_DIR_OUT],
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):
     for name, text in BAD_FILES.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
-    code, out, err = run([a.format_map({n: tmp_path / n for n in BAD_FILES}) for a in argv], capsys)
+    paths = {n: tmp_path / n for n in [*BAD_FILES, "ok"]} | {"tmp": tmp_path}
+    code, out, err = run([a.format_map(paths) for a in argv], capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # no output file is left behind, staged or renamed
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_FILES)
 
 
 def test_margins_with_failing_nominal_exits_1(capsys):
