@@ -37,6 +37,15 @@ interpolation. A parameter variant is Circuit.scaled, a copy with scaled
 value arrays; each run builds its own step maps and table differences from
 the arrays it is given.
 
+A circuit at rest is not stepped through. When a whole dt step returns its
+input state (x, phi, jv, jdvdt) bit for bit, and its one source lookup lands
+on a table row that holds (no source moves before the next breakpoint), the
+run copies that state into every later sample whose step still looks up that
+row, and resumes stepping at the first step that reaches the next breakpoint.
+This is exact: a step is a deterministic function of the state, h and the
+source values, so each skipped step would map the same state under the same
+sources to itself again. Equal phases also rule out a slip in between.
+
 SFQ pulses are detected as upward crossings of phi through pi + 2*pi*k,
 timestamped by linear interpolation between samples.
 """
@@ -44,7 +53,7 @@ timestamped by linear interpolation between samples.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -237,12 +246,15 @@ class Circuit:
 
         Scaling Ic leaves the junction's cap and shunt as they are (a
         critical-current spread). Names match case-insensitively; a name that
-        is not a junction or a source raises ValueError.
+        is not a junction or a source, or a factor that is not finite, raises
+        ValueError.
         """
         ic, src_v = self.ic.copy(), self.src_v.copy()
         junctions = [n.lower() for n in self.junction_names]
         sources = [n.lower() for n in self.source_names]
         for name, factor in factors.items():
+            if not math.isfinite(factor):
+                raise ValueError(f"cannot scale {name!r} by {factor!r}: the factor must be finite")
             if name.lower() in junctions:
                 ic[junctions.index(name.lower())] *= factor
             elif name.lower() in sources:
@@ -331,16 +343,17 @@ class _Engine:
             self.systems[h] = maps
         return maps
 
-    def _step(self, h: float) -> None:
-        """Advance by h, splitting the step on Newton failure."""
+    def _step(self, h: float) -> bool:
+        """Advance by h, splitting the step on Newton failure; True if it was taken whole."""
         x_new, ok = self._try_step(h)
         if ok:
             self._accept(h, x_new)
-            return
+            return True
         if h / 2.0 < self.dt / 64.0:
             raise SimulationError("Newton failed to converge", self.time)
         self._step(h / 2.0)
         self._step(h / 2.0)
+        return False
 
     def _try_step(self, h: float) -> tuple[np.ndarray, bool]:
         P, M, Q, S = self._system(h)
@@ -397,31 +410,44 @@ class _Engine:
         self.x = x_new
         self.time += h
 
+    def _at_rest(self, x, phi, jv, jdvdt) -> bool:
+        """Whether the step just taken returned this input state bit for bit."""
+        return (
+            x.tobytes() == self.x.tobytes()
+            and phi.tobytes() == self.phi.tobytes()
+            and jv.tobytes() == self.jv.tobytes()
+            and jdvdt.tobytes() == self.jdvdt.tobytes()
+        )
+
     def run(self) -> tuple[Waveform, list[PhaseSlipEvent]]:
         # the last sample reaches tstop; the 1e-9 keeps float noise in the ratio
         # of a whole number of steps from adding one
         nsteps = math.ceil(self.tstop / self.dt - 1e-9)
-        c, nn = self.circuit, self.nn
+        c, nn, dt = self.circuit, self.nn, self.dt
         try:
-            times = np.empty(nsteps + 1)
-            volts = np.empty((nsteps + 1, nn))
-            phases = np.empty((nsteps + 1, len(c.junction_names)))
-            il = np.empty((nsteps + 1, len(c.inductor_names)))
+            times = np.arange(nsteps + 1) * dt  # the grid the steps keep: i * dt
+            states = np.empty((nsteps + 1, len(self.x)))
+            phases = np.empty((nsteps + 1, len(self.phi)))
         except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
             raise StructuralError(f"cannot allocate samples for {nsteps} time steps") from exc
 
-        def record(i: int) -> None:
-            times[i] = self.time
-            volts[i] = self.x[:nn]
-            phases[i] = self.phi
-            il[i] = self.x[nn:]
-
-        record(0)
-        for i in range(1, nsteps + 1):
-            self._step(self.dt)
+        states[0], phases[0] = self.x, self.phi
+        i = 1
+        while i <= nsteps:
+            before = self.x, self.phi, self.jv, self.jdvdt
+            last = i  # the last sample this state fills
+            if self._step(dt):
+                # a whole step looked the sources up once, at self.time
+                k = bisect_right(self.src_t, self.time) - 1
+                if self.src_hold[k] and self._at_rest(*before):
+                    # step j + 1 looks up j * dt + dt; count those before the next breakpoint
+                    nxt = self.src_t[k + 1] if k + 1 < len(self.src_t) else math.inf
+                    last += bisect_left(range(i, nsteps), nxt, key=lambda j: j * dt + dt)
+            states[i : last + 1] = self.x
+            phases[i : last + 1] = self.phi
             # keep the grid exact despite accumulated float addition
-            self.time = i * self.dt
-            record(i)
+            self.time = last * dt
+            i = last + 1
 
         keep = times >= self.tstart - 1e-18
         wave = Waveform(
@@ -429,9 +455,9 @@ class _Engine:
             node_names=list(c.node_names),
             junction_names=list(c.junction_names),
             inductor_names=list(c.inductor_names),
-            voltages=volts[keep],
+            voltages=states[keep, :nn],
             phases=phases[keep],
-            inductor_currents=il[keep],
+            inductor_currents=states[keep, nn:],
             junction_nodes=c.junction_nodes,
         )
         events = [e for e in self.events if e.time >= self.tstart]

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -193,6 +194,77 @@ def test_scaled_rejects_unknown_names_and_other_kinds(name):
     base = Circuit.from_netlist(flatten(parse_netlist(data.load_text("mcg_tb.cir"))))
     with pytest.raises(ValueError, match=f"'{name}'"):
         base.scaled({name: 2.0})
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["Bq", "Iset1"])
+def test_scaled_rejects_non_finite_factors(name, factor):
+    # a NaN or infinite value would only surface later as a Newton failure at t = 0
+    base = Circuit.from_netlist(flatten(parse_netlist(bench.storage_loop_tb(n_sets=1))))
+    with pytest.raises(ValueError, match=f"'{name}'.*finite"):
+        base.scaled({name: factor})
+
+
+class _EveryStepEngine(_Engine):
+    """Reference run: the same engine with the rest skip off, so it steps every step."""
+
+    def _at_rest(self, *before):
+        return False
+
+
+class _CountingEngine(_Engine):
+    """Counts the Newton step attempts of a run."""
+
+    tries = 0
+
+    def _try_step(self, h):
+        self.tries += 1
+        return super()._try_step(h)
+
+
+_SOURCE_FREE = "R1 1 0 5\nL1 1 0 1p\n.tran 0.1p 100p\n"
+_LOOP = data.load_text("storage_loop_tb.cir")
+_SHIPPED = sorted(p.name for p in resources.files(data).iterdir() if p.name.endswith(".cir"))
+_REST_CASES = {
+    **{name: data.load_text(name) for name in _SHIPPED},
+    "storage_loop_multi": bench.storage_loop_tb(n_sets=1, multi=True),
+    "source_free": _SOURCE_FREE,
+    # the write starts between grid times, so the step that first sees it ends past it
+    "write_off_grid": _LOOP.replace("pulse(100.0p ", "pulse(100.05p "),
+    # recording starts inside the rest
+    "recording_start": _LOOP.replace(".tran 0.1p 250p", ".tran 0.1p 250p 50p"),
+}
+
+
+def test_rest_cases_cover_the_shipped_files_and_edits():
+    assert len(_SHIPPED) == 7
+    assert len({*_REST_CASES.values()}) == len(_REST_CASES)  # each edit took
+
+
+@pytest.mark.parametrize("text", _REST_CASES.values(), ids=_REST_CASES.keys())
+def test_rest_skip_is_bit_identical_to_stepping_every_step(text):
+    circuit = Circuit.from_netlist(flatten(parse_netlist(text)))
+    engine, ref = _Engine(circuit), _EveryStepEngine(circuit)
+    (wave, events), (ref_wave, ref_events) = engine.run(), ref.run()
+    for name in ("times", "voltages", "phases", "inductor_currents"):
+        assert np.array_equal(getattr(wave, name), getattr(ref_wave, name)), name
+    assert events == ref_events
+    # the run also ends in the same state, down to the sign of every zero
+    for name in ("x", "phi", "jv", "jdvdt", "time"):
+        assert np.asarray(getattr(engine, name)).tobytes() == np.asarray(getattr(ref, name)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, steps, most",
+    # the loop rests until its write at 100 ps, so 999 of its steps need no Newton step
+    [(_LOOP, 2500, 1502), (_SOURCE_FREE, 1000, 1)],
+    ids=["storage_loop_tb", "source_free"],
+)
+def test_rest_skip_skips_the_steps_at_rest(text, steps, most):
+    engine = _CountingEngine(Circuit.from_netlist(flatten(parse_netlist(text))))
+    wave, _ = engine.run()
+    assert len(wave.times) == steps + 1
+    assert 1 <= engine.tries <= most
 
 
 class _FullSpaceEngine(_Engine):
