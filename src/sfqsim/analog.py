@@ -564,3 +564,36 @@ def storage_capacity(loop_inductance: float, ic: float) -> float:
     if loop_inductance <= 0 or ic <= 0:
         raise ValueError("loop inductance and critical current must be positive")
     return ic * loop_inductance / PHI0
+
+
+def loop_capacity(flat: Netlist, names: list[str]) -> tuple[float, float, float]:
+    """The naive Ic*L reading of a loop: (Ic*L in PHI0, smallest junction Ic, series L).
+
+    A name matches an element case-insensitively, or else a unique hierarchical
+    suffix (B1 -> X1.B1); a name that matches nothing, or an element named twice,
+    raises NetlistError. Junction inductances and bias contributions are left
+    out, so the thresholds are indicative.
+    """
+    total_l, ics, seen = 0.0, [], set()
+    for name in names:
+        try:
+            e = flat.element(name)
+        except KeyError:
+            suffix = "." + name.lower()
+            hits = [e for e in flat.elements if e.name.lower().endswith(suffix)]
+            if len(hits) != 1:
+                where = "is ambiguous in" if hits else "not in"
+                raise NetlistError(f"loop element {name!r} {where} the flattened netlist") from None
+            e = hits[0]
+        if e.name in seen:
+            raise NetlistError(f"loop element {name!r} names {e.name} a second time")
+        seen.add(e.name)
+        if isinstance(e, Inductor):
+            total_l += e.value
+        elif isinstance(e, Junction):
+            ics.append(flat.models[e.model.lower()].icrit * e.area)
+        else:
+            raise NetlistError(f"loop element {name!r} is not an inductor or junction")
+    if not ics or total_l <= 0.0:
+        raise NetlistError("loop needs at least one inductor and one junction")
+    return storage_capacity(total_l, min(ics)), min(ics), total_l

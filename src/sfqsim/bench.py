@@ -5,7 +5,7 @@ These generate the netlist text behind the shipped .cir data files
 stimulus counts. A value variant is not new text: compile the testbench once
 with analog.Circuit.from_netlist and vary it with Circuit.scaled, as the
 drive scans in scripts/tune_jtl.py and scripts/tune_mcg.py and the analog
-margins in scripts/run_margins.py do. The set/reset cell topologies are
+margins in scripts/claims.py do. The set/reset cell topologies are
 reconstructions, since only element values and the storage-loop membership
 are published for the originals; they neither store nor read.
 """

@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import fields
 
 from . import data
-from .analog import SimulationError, StructuralError, run_transient, storage_capacity
+from .analog import SimulationError, StructuralError, loop_capacity, run_transient
 from .cells import (
     BUILTIN_CIRCUITS,
     PS,
@@ -27,15 +27,7 @@ from .cells import (
     simulate,
 )
 from .margin import MarginError, margin_sweep, render_report, report_csv, timing_spec
-from .netlist import (
-    Inductor,
-    Junction,
-    NetlistError,
-    flatten,
-    lint,
-    parse_netlist,
-    parse_value,
-)
+from .netlist import NetlistError, flatten, lint, parse_netlist, parse_value
 from .oracle import check_trace
 from .waveio import (
     ScheduleError,
@@ -238,41 +230,11 @@ def cmd_margins(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    netlist = _load_netlist(args.netlist)
-    flat = flatten(netlist)
+    flat = flatten(_load_netlist(args.netlist))
     names = [n.strip() for n in args.loop.split(",") if n.strip()]
     if not names:
         raise CliError("empty --loop element list")
-    def resolve(name: str):
-        try:
-            return flat.element(name)
-        except KeyError:
-            pass
-        # fall back to a unique hierarchical suffix match (e.g. B1 -> X1.B1)
-        suffix = "." + name.lower()
-        hits = [e for e in flat.elements if e.name.lower().endswith(suffix)]
-        if len(hits) == 1:
-            return hits[0]
-        raise CliError(
-            f"loop element {name!r} "
-            + ("is ambiguous in" if hits else "not in")
-            + " the flattened netlist"
-        )
-
-    total_l = 0.0
-    min_ic = None
-    for name in names:
-        e = resolve(name)
-        if isinstance(e, Inductor):
-            total_l += e.value
-        elif isinstance(e, Junction):
-            ic = flat.models[e.model.lower()].icrit * e.area
-            min_ic = ic if min_ic is None else min(min_ic, ic)
-        else:
-            raise CliError(f"loop element {name!r} is not an inductor or junction")
-    if min_ic is None or total_l <= 0.0:
-        raise CliError("loop needs at least one inductor and one junction")
-    phi = storage_capacity(total_l, min_ic)
+    phi, min_ic, total_l = loop_capacity(flat, names)  # a NetlistError exits 2
     print(f"Ic*L = {phi:.3f} PHI0  (min Ic = {min_ic * 1e6:.1f} uA, L = {total_l * 1e12:.2f} pH)")
     print(
         "note: min-Ic times series-L is the naive reading; junction inductances "

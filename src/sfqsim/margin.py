@@ -87,6 +87,8 @@ def _bisect_edge(
 ) -> float:
     while abs(failing - passing) > resolution:
         mid = 0.5 * (passing + failing)
+        if mid in (passing, failing):  # adjacent floats: no factor lies between them
+            break
         if check(mid):
             passing = mid
         else:
@@ -180,15 +182,20 @@ def timing_spec(
     return MarginSpec([(p, getattr(base, p)) for p in params], passes, resolution=resolution)
 
 
+def format_margin(p: ParameterMargin) -> str:
+    """A margin as the report prints it: ">= " when saturated, flagged when non-monotone."""
+    margin = f"{p.margin_percent:.1f}%"
+    if p.saturated:
+        margin = ">= " + margin
+    if p.islands:
+        margin += " (non-monotone)"
+    return margin
+
+
 def render_report(report: MarginReport) -> str:
     rows = [("parameter", "low", "high", "margin")]
     for p in report.per_parameter:
-        margin = f"{p.margin_percent:.1f}%"
-        if p.saturated:
-            margin = ">= " + margin
-        if p.islands:
-            margin += " (non-monotone)"
-        rows.append((p.name, f"{p.low:.3f}", f"{p.high:.3f}", margin))
+        rows.append((p.name, f"{p.low:.3f}", f"{p.high:.3f}", format_margin(p)))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = ["  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip() for row in rows]
     crit = report.critical

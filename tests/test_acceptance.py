@@ -201,9 +201,9 @@ def test_criterion_9_margin_engine():
         assert p.high >= 1.2, f"{p.name} high margin {p.high}"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    # analog margin percentages from the original cells (64% / 20%) are
-    # documentation targets only: the exact schematic is unpublished, so the
-    # suite checks engine correctness, not those figures (see README).
+    # the paper's critical margins are not reproduction targets: the exact
+    # schematic is unpublished, so the suite checks engine correctness, not
+    # those figures (scripts/claims.py sets them beside the repo's).
     verdict(9, "synthetic regions recovered at 0.5%; delay margins >= 20%")
 
 

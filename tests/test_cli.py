@@ -277,6 +277,10 @@ NO_DIR_OUT = str(DATA / "no-such-dir" / "out.csv")
          "--events", "{tmp}"],
         ["bsim", "--circuit", "ndro", "--schedule", "tb_fig7.sched", "--vcd", "{ok}",
          "--events", NO_DIR_OUT],
+        # a capacity loop element named twice, by any spelling
+        ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", "B1,L2,L6,B6,B7,L2"],
+        ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", "B1,L2,L6,B6,B7,X1.B7"],
+        ["capacity", "--netlist", str(DATA / "mndro_cell_tb.cir"), "--loop", "B1,L2,L6,B6,B7,b7"],
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):
@@ -289,6 +293,17 @@ def test_bad_inputs_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     # no output file is left behind, staged or renamed
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_FILES)
+
+
+def test_margins_resolution_below_float_spacing_returns(capsys):
+    # the bisection stops at adjacent floats instead of looping forever
+    code, out, _ = run(
+        ["margins", "mndro-rst", "--schedule", "tb_fig8.sched", "--param", "mcg_spacing",
+         "--resolution", "1e-20"],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith("parameter")
 
 
 def test_margins_with_failing_nominal_exits_1(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,14 @@ def test_bisection_brackets_any_step_boundary(low, width):
     assert abs(p.low - low) <= spec.resolution
     assert abs(p.high - high) <= spec.resolution
     assert p.low <= 1.0 <= p.high
+
+
+def test_bisection_stops_at_adjacent_floats():
+    # a resolution below the float spacing near the edges must still terminate
+    spec = MarginSpec(parameters=[("p", 1.0)], pass_fn=interval_pass_fn(0.7, 1.5), resolution=1e-300)
+    (p,) = margin_sweep(spec).per_parameter
+    assert abs(p.low - 0.7) <= math.ulp(0.7)
+    assert abs(p.high - 1.5) <= math.ulp(1.5)
 
 
 def test_island_regions_are_flagged():
