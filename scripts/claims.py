@@ -22,7 +22,7 @@ from sfqsim.oracle import check_trace
 from sfqsim.waveio import read_schedule, write_events
 
 ANALOG_ELEMENTS = {"write_amp": "Iset1", "quantizer_ic": "Bq"}  # margin parameter -> element
-CELL_LOOP = ["X1.L2", "X1.L6", "X1.B6", "X1.B7", "X1.B1"]  # B1-L2-L6-B6-B7, in walk order
+CELL_LOOP = ["L2", "L6", "B6", "B7", "B1"]  # B1-L2-L6-B6-B7, in walk order
 AFTER_SET = 180e-12  # the cells' set pulse is at 100 ps, their first clock at 200 ps
 
 

@@ -67,6 +67,7 @@ from .netlist import (
     NetlistError,
     Resistor,
     Tran,
+    match_name,
 )
 
 PHI0 = 2.067833848e-15  # flux quantum h/2e, webers
@@ -132,6 +133,9 @@ class Waveform:
         return vp - vn
 
     def state_at(self, time: float) -> CircuitState:
+        """The state at the sample nearest time; a time outside the samples raises ValueError."""
+        if not self.times[0] - 1e-18 <= time <= self.times[-1] + 1e-18:
+            raise ValueError(f"time {time:g} s is outside the simulated range")
         i = int(np.argmin(np.abs(self.times - time)))
         return CircuitState(
             time=float(self.times[i]),
@@ -245,22 +249,20 @@ class Circuit:
         """A copy with a junction's Ic, or all of a source's values, scaled per element name.
 
         Scaling Ic leaves the junction's cap and shunt as they are (a
-        critical-current spread). Names match case-insensitively; a name that
-        is not a junction or a source, or a factor that is not finite, raises
-        ValueError.
+        critical-current spread). A name means a junction or source by the rule
+        of netlist.match_name (B1 -> X1.B1); a name that means none, or a factor
+        that is not finite, raises ValueError.
         """
         ic, src_v = self.ic.copy(), self.src_v.copy()
-        junctions = [n.lower() for n in self.junction_names]
-        sources = [n.lower() for n in self.source_names]
+        nj = len(self.junction_names)
         for name, factor in factors.items():
             if not math.isfinite(factor):
                 raise ValueError(f"cannot scale {name!r} by {factor!r}: the factor must be finite")
-            if name.lower() in junctions:
-                ic[junctions.index(name.lower())] *= factor
-            elif name.lower() in sources:
-                src_v[:, sources.index(name.lower())] *= factor
+            k = match_name(name, self.junction_names + self.source_names, "junction or source")
+            if k < nj:
+                ic[k] *= factor
             else:
-                raise ValueError(f"cannot scale {name!r}: not a junction or source of the circuit")
+                src_v[:, k - nj] *= factor
         return replace(self, ic=ic, src_v=src_v)
 
 
@@ -493,46 +495,46 @@ def pulse_area(waveform: Waveform, junction: str, window: tuple[float, float]) -
     return float(np.trapezoid(vals, grid))
 
 
+def _loop_elements(flat: Netlist, names: list[str]) -> list[Junction | Inductor]:
+    """A loop's elements by Netlist.element: distinct junctions and inductors, else NetlistError."""
+    if not names:
+        raise NetlistError("empty loop element list")
+    elems = []
+    for name in names:
+        e = flat.element(name)
+        if not isinstance(e, (Junction, Inductor)):
+            raise NetlistError(f"loop element {name!r} is not a junction or inductor")
+        if e in elems:
+            raise NetlistError(f"loop element {name!r} names {e.name} a second time")
+        elems.append(e)
+    return elems
+
+
 @dataclass(frozen=True)
 class FluxoidLoop:
-    """A closed cycle of junctions/inductors with traversal orientations."""
+    """A closed cycle of junctions and inductors, in walk order."""
 
-    entries: tuple[tuple[str, str, int], ...]  # (kind, name, orientation)
-    inductances: tuple[float, ...]             # per inductor entry, traversal order
+    entries: tuple[tuple[str, int, float | None], ...]  # (name, orientation, L or None)
 
     @classmethod
     def from_names(cls, flat: Netlist, names: list[str]) -> "FluxoidLoop":
         """Build a loop from element names, deriving orientations by walking the cycle.
 
-        The first element is traversed pos->neg; each subsequent element must
-        continue from the previous endpoint. The walk must return to its start.
+        Names resolve by the rule of netlist.match_name (B1 -> X1.B1). The first
+        element is traversed pos->neg; each subsequent element must continue from
+        the previous endpoint. The walk must return to its start.
         """
-        elems = []
-        for name in names:
-            e = flat.element(name)
-            if not isinstance(e, (Junction, Inductor)):
-                raise ValueError(f"{name} is not a junction or inductor")
-            elems.append(e)
-        if not elems:
-            raise ValueError("empty loop")
-        entries: list[tuple[str, str, int]] = []
-        inductances: list[float] = []
-        start = elems[0].pos
-        at = elems[0].pos
+        elems = _loop_elements(flat, names)
+        entries = []
+        start = at = elems[0].pos
         for e in elems:
-            if e.pos == at:
-                orient, at = 1, e.neg
-            elif e.neg == at:
-                orient, at = -1, e.pos
-            else:
+            if at not in (e.pos, e.neg):
                 raise ValueError(f"loop not closed: {e.name} does not touch node {at}")
-            kind = "junction" if isinstance(e, Junction) else "inductor"
-            entries.append((kind, e.name, orient))
-            if kind == "inductor":
-                inductances.append(e.value)
+            orient, at = (1, e.neg) if e.pos == at else (-1, e.pos)
+            entries.append((e.name, orient, e.value if isinstance(e, Inductor) else None))
         if at != start:
             raise ValueError(f"loop not closed: ends at {at}, started at {start}")
-        return cls(tuple(entries), tuple(inductances))
+        return cls(tuple(entries))
 
 
 def count_fluxons(state: CircuitState, loop: FluxoidLoop) -> int:
@@ -548,10 +550,9 @@ def loop_fluxoid(state: CircuitState, loop: FluxoidLoop) -> float:
     the winding numbers, which the reduction exposes as an integer.
     """
     total = 0.0
-    l_iter = iter(loop.inductances)
-    for kind, name, orient in loop.entries:
-        if kind == "inductor":
-            total += orient * next(l_iter) * state.inductor_currents[name]
+    for name, orient, l in loop.entries:
+        if l is not None:
+            total += orient * l * state.inductor_currents[name]
         else:
             phi = state.junction_phases[name]
             phi -= 2.0 * math.pi * round(phi / (2.0 * math.pi))
@@ -569,31 +570,13 @@ def storage_capacity(loop_inductance: float, ic: float) -> float:
 def loop_capacity(flat: Netlist, names: list[str]) -> tuple[float, float, float]:
     """The naive Ic*L reading of a loop: (Ic*L in PHI0, smallest junction Ic, series L).
 
-    A name matches an element case-insensitively, or else a unique hierarchical
-    suffix (B1 -> X1.B1); a name that matches nothing, or an element named twice,
-    raises NetlistError. Junction inductances and bias contributions are left
-    out, so the thresholds are indicative.
+    Names resolve as in FluxoidLoop.from_names (netlist.match_name), in any order.
+    Junction inductances and bias contributions are left out, so the thresholds
+    are indicative.
     """
-    total_l, ics, seen = 0.0, [], set()
-    for name in names:
-        try:
-            e = flat.element(name)
-        except KeyError:
-            suffix = "." + name.lower()
-            hits = [e for e in flat.elements if e.name.lower().endswith(suffix)]
-            if len(hits) != 1:
-                where = "is ambiguous in" if hits else "not in"
-                raise NetlistError(f"loop element {name!r} {where} the flattened netlist") from None
-            e = hits[0]
-        if e.name in seen:
-            raise NetlistError(f"loop element {name!r} names {e.name} a second time")
-        seen.add(e.name)
-        if isinstance(e, Inductor):
-            total_l += e.value
-        elif isinstance(e, Junction):
-            ics.append(flat.models[e.model.lower()].icrit * e.area)
-        else:
-            raise NetlistError(f"loop element {name!r} is not an inductor or junction")
+    elems = _loop_elements(flat, names)
+    total_l = sum(e.value for e in elems if isinstance(e, Inductor))
+    ics = [flat.models[e.model.lower()].icrit * e.area for e in elems if isinstance(e, Junction)]
     if not ics or total_l <= 0.0:
         raise NetlistError("loop needs at least one inductor and one junction")
     return storage_capacity(total_l, min(ics)), min(ics), total_l

@@ -102,10 +102,11 @@ def jtl_chain_tb(
 def storage_loop_tb(n_sets: int = 1, multi: bool = False) -> str:
     """Write-only storage loop: each set pulse adds one fluxon.
 
-    The single-fluxon variant holds Ic*L = 1.45 PHI0; the multi variant is
-    scaled to 5.8 PHI0 so three fluxons fit (the cell-table values top out
-    near one PHI0 once junction inductances are counted, so multi-fluxon
-    demonstrations need the scaled loop).
+    Read as analog.loop_capacity does (Bin's 250 uA, the smallest loop Ic,
+    times Ls), the single-fluxon variant holds Ic*L = 1.209 PHI0; the multi
+    variant is scaled to 4.836 PHI0 so three fluxons fit (the cell-table
+    values top out near one PHI0 once junction inductances are counted, so
+    multi-fluxon demonstrations need the scaled loop).
     """
     l_store = 40 if multi else 10
     amp = LOOP_WRITE_MULTI_UA if multi else LOOP_WRITE_SINGLE_UA

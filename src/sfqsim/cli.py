@@ -232,8 +232,6 @@ def cmd_margins(args) -> int:
 def cmd_capacity(args) -> int:
     flat = flatten(_load_netlist(args.netlist))
     names = [n.strip() for n in args.loop.split(",") if n.strip()]
-    if not names:
-        raise CliError("empty --loop element list")
     phi, min_ic, total_l = loop_capacity(flat, names)  # a NetlistError exits 2
     print(f"Ic*L = {phi:.3f} PHI0  (min Ic = {min_ic * 1e6:.1f} uA, L = {total_l * 1e12:.2f} pH)")
     print(

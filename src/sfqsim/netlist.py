@@ -160,11 +160,8 @@ class Netlist:
     tran: Tran | None = None
 
     def element(self, name: str) -> Element:
-        wanted = name.lower()
-        for e in self.elements:
-            if e.name.lower() == wanted:
-                return e
-        raise KeyError(name)
+        """The element a caller's name means, by the rule of match_name."""
+        return self.elements[match_name(name, [e.name for e in self.elements])]
 
     def nodes(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -176,6 +173,24 @@ class Netlist:
 
     def is_flat(self) -> bool:
         return not any(isinstance(e, SubcktInstance) for e in self.elements)
+
+
+def match_name(name: str, names: list[str], kind: str = "element") -> int:
+    """The index of the one of names that name means: the rule for naming an element.
+
+    A name matches case-insensitively; failing an exact match, it matches the one
+    name that ends in "." + name (B1 -> X1.B1). None, or more than one, raises
+    NetlistError; kind says what names holds.
+    """
+    wanted = name.lower()
+    for i, n in enumerate(names):
+        if n.lower() == wanted:
+            return i
+    hits = [i for i, n in enumerate(names) if n.lower().endswith("." + wanted)]
+    if len(hits) != 1:
+        where = f"is ambiguous: {', '.join(names[i] for i in hits)}" if hits else "matches nothing"
+        raise NetlistError(f"{kind} name {name!r} {where}")
+    return hits[0]
 
 
 def _element_nodes(e: Element) -> tuple[str, ...]:
@@ -197,7 +212,7 @@ def _strip_comment(raw: str) -> str:
     return line
 
 
-def _parse_model_line(tokens: list[str], raw: str, lineno: int) -> JJModel:
+def _parse_model_line(raw: str, lineno: int) -> JJModel:
     # .model <name> jj(icrit=..., cap=..., rn=..., r0=...)
     m = re.match(r"\.model\s+(\S+)\s+jj\s*\((.*)\)\s*$", raw.strip(), re.IGNORECASE)
     if not m:
@@ -340,7 +355,7 @@ def parse_netlist(text: str) -> Netlist:
             tokens = stripped.split()
             key = tokens[0].lower()
             if key == ".model":
-                model = _parse_model_line(tokens, stripped, lineno)
+                model = _parse_model_line(stripped, lineno)
                 if model.name.lower() in netlist.models:
                     raise NetlistError(f"duplicate model {model.name!r}", lineno)
                 netlist.models[model.name.lower()] = model

@@ -15,6 +15,7 @@ from sfqsim.analog import (
     StructuralError,
     _Engine,
     count_fluxons,
+    loop_capacity,
     loop_fluxoid,
     pulse_area,
     run_transient,
@@ -196,6 +197,14 @@ def test_scaled_rejects_unknown_names_and_other_kinds(name):
         base.scaled({name: 2.0})
 
 
+def test_scaled_short_name_is_the_cell_element():
+    base = Circuit.from_netlist(flatten(parse_netlist(data.load_text("ndro_cell_tb.cir"))))
+    short, full = base.scaled({"B1": 1.3}), base.scaled({"X1.B1": 1.3})
+    for k in ("ic", "src_v"):
+        assert getattr(short, k).tobytes() == getattr(full, k).tobytes()
+    assert short.ic.tobytes() != base.ic.tobytes()
+
+
 @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["Bq", "Iset1"])
 def test_scaled_rejects_non_finite_factors(name, factor):
@@ -364,7 +373,76 @@ def test_loop_walk_rejects_open_paths():
         FluxoidLoop.from_names(flat, ["Ls", "Bin", "Bq"])
 
 
+_CELL_LOOP = ["L2", "L6", "B6", "B7", "B1"]  # the paper's B1-L2-L6-B6-B7, in walk order
+_TWO_CELLS = (
+    ".subckt cell a\nB1 a 0 jj1\nL1 a 0 2p\n.ends\n"
+    "X1 n1 cell\nX2 n2 cell\n.model jj1 jj(icrit=100u)\n"
+)
+
+
+@pytest.mark.parametrize("check", [FluxoidLoop.from_names, loop_capacity], ids=["walk", "capacity"])
+@pytest.mark.parametrize(
+    "names, match",
+    [
+        ([], "empty"),
+        (["Ls", "Ls"], "'Ls' names Ls a second time"),  # once walked "closed" and counted 0
+        (["Ls", "Bq", "bin", "BIN"], "'BIN' names Bin a second time"),
+        (["Ls", "Iset1"], "'Iset1' is not a junction or inductor"),
+        (["Ls", "nope"], "'nope' matches nothing"),  # a ValueError, not a KeyError
+    ],
+    ids=["empty", "twice", "twice-by-case", "source", "unknown"],
+)
+def test_loop_element_check_is_shared(check, names, match):
+    flat = flatten(parse_netlist(bench.storage_loop_tb()))
+    with pytest.raises(ValueError, match=match):
+        check(flat, names)
+
+
+@pytest.mark.parametrize("name", ["ndro_cell_tb.cir", "mndro_cell_tb.cir"])
+def test_loop_short_names_mean_the_cell_elements(name):
+    flat = flatten(parse_netlist(data.load_text(name)))
+    prefixed = ["X1." + n for n in _CELL_LOOP]
+    assert FluxoidLoop.from_names(flat, _CELL_LOOP) == FluxoidLoop.from_names(flat, prefixed)
+    assert loop_capacity(flat, _CELL_LOOP) == loop_capacity(flat, prefixed)
+
+
+def test_ambiguous_short_name_raises_in_every_caller():
+    flat = flatten(parse_netlist(_TWO_CELLS))
+    circuit = Circuit.from_netlist(flat)
+    calls = [
+        lambda: FluxoidLoop.from_names(flat, ["B1", "X1.L1"]),
+        lambda: loop_capacity(flat, ["B1", "X1.L1"]),
+        lambda: circuit.scaled({"B1": 2.0}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"'B1' is ambiguous: X1\.B1, X2\.B1"):
+            call()
+
+
+def test_state_at_rejects_times_outside_the_samples():
+    flat = flatten(parse_netlist(data.load_text("storage_loop_tb.cir")))
+    wave, _ = run_transient(flat, tstop=100e-12)
+    assert wave.state_at(100e-12 + 5e-19).time == wave.times[-1]  # pulse_area's tolerance
+    for t in (180e-12, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="outside the simulated range"):
+            wave.state_at(t)
+
+
 # --- storage capacity -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, reading",
+    [
+        ("storage_loop_tb.cir", (1.209, 250e-6, 10e-12)),
+        ("mndro_loop_tb.cir", (4.836, 250e-6, 40e-12)),
+    ],
+)
+def test_loop_capacity_of_the_storage_loops(name, reading):
+    # the smallest loop Ic is Bin's 250 uA, not Bq's 300 uA
+    flat = flatten(parse_netlist(data.load_text(name)))
+    phi, ic, l = loop_capacity(flat, bench.STORAGE_LOOP_NAMES)
+    assert (round(phi, 3), ic, l) == reading
 
 
 def test_storage_capacity_boundary_and_errors():
@@ -394,8 +472,7 @@ def test_shipped_cells_neither_store_nor_read(name):
     # the input buffers); a fix that makes a cell work has to flip this test
     flat = flatten(parse_netlist(data.load_text(name)))
     wave, events = run_transient(flat)
-    loop = FluxoidLoop.from_names(flat, ["X1.L2", "X1.L6", "X1.B6", "X1.B7", "X1.B1"])
-    assert count_fluxons(wave.state_at(180e-12), loop) == 0
+    assert count_fluxons(wave.state_at(180e-12), FluxoidLoop.from_names(flat, _CELL_LOOP)) == 0
     assert events and not any(e.junction == "X1.B11" for e in events)
 
 

@@ -163,6 +163,26 @@ R1 p 0 5
     assert all(e.pos in ("p", "0") or e.neg in ("p", "0") for e in flat.elements)
 
 
+def test_element_names_match_exactly_then_by_unique_suffix():
+    src = """
+.model jm jj(icrit=100u)
+.subckt cell a
+B1 a 0 jm
+L2 a 0 2p
+.ends
+X1 p cell
+X2 q cell
+B1 p 0 jm
+"""
+    flat = flatten(parse_netlist(src))
+    assert flat.element("b1").name == "B1"  # an exact match wins over a suffix
+    assert flat.element("x2.b1").name == "X2.B1"
+    with pytest.raises(NetlistError, match=r"'L2' is ambiguous: X1\.L2, X2\.L2"):
+        flat.element("L2")
+    with pytest.raises(NetlistError, match="'B9' matches nothing"):
+        flat.element("B9")
+
+
 def test_flatten_recursion_error():
     src = """
 .subckt loop a
