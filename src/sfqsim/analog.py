@@ -25,9 +25,12 @@ solves the nj x nj system
 and recovers x = x_lin - P (w0 + g v). By the Woodbury identity this is the
 iterate of the full n x n Newton step A_h + Dj diag(g) Dj^T, so A_h must be
 nonsingular: every node needs a resistive, capacitive or inductive path, and
-a junction with cap=0 needs an rn or r0 shunt. Newton stops when no node
-voltage moves by NEWTON_VTOL and no inductor current by NEWTON_ITOL; a step
-still moving after NEWTON_MAX_ITERS iterations is halved, down to dt/64.
+a junction with cap=0 needs an rn or r0 shunt. The nj x nj solve calls the
+LAPACK gufunc inside np.linalg.solve directly, without the wrapper's checks:
+a singular system comes back as NaN, which the step reports as
+StructuralError. Newton stops when no node voltage moves by NEWTON_VTOL and
+no inductor current by NEWTON_ITOL; a step still moving after
+NEWTON_MAX_ITERS iterations is halved, down to dt/64.
 
 A flat netlist compiles once into a Circuit: the incidence matrices, the
 h-independent part of A_h, the junction and inductor value arrays and a
@@ -37,14 +40,20 @@ interpolation. A parameter variant is Circuit.scaled, a copy with scaled
 value arrays; each run builds its own step maps and table differences from
 the arrays it is given.
 
-A circuit at rest is not stepped through. When a whole dt step returns its
-input state (x, phi, jv, jdvdt) bit for bit, and its one source lookup lands
-on a table row that holds (no source moves before the next breakpoint), the
-run copies that state into every later sample whose step still looks up that
-row, and resumes stepping at the first step that reaches the next breakpoint.
-This is exact: a step is a deterministic function of the state, h and the
-source values, so each skipped step would map the same state under the same
-sources to itself again. Equal phases also rule out a slip in between.
+A circuit at rest is not stepped through. When a whole dt step, whose one
+source lookup lands on a table row that holds (no source moves before the
+next breakpoint), brings back bit for bit the state (x, phi, jv, jdvdt) of
+one or two whole steps back on that same row, with no slip since, the state
+repeats with period 1 or 2 until the next breakpoint. Period 2 is the
+trapezoidal rest after a storage-loop write: jdvdt flips its sign on every
+step. The run fills every later sample whose step still looks up that row,
+alternately with the state before the step and the state after it, leaves
+the engine in the state of the last filled sample, and resumes stepping at
+the first step that reaches the next breakpoint. This is exact: a step is a
+deterministic function of the state, h and the source values, so each
+skipped step would map the same states under the same sources onto each
+other again. A slip needs a phase to pass the next slip level, which lies
+above every phase of the cycle once it has come round.
 
 SFQ pulses are detected as upward crossings of phi through pi + 2*pi*k,
 timestamped by linear interpolation between samples.
@@ -57,6 +66,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve without its wrapper
 
 from .netlist import (
     GROUND,
@@ -124,10 +134,13 @@ class Waveform:
     junction_nodes: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def phase(self, junction: str) -> np.ndarray:
-        return self.phases[:, self.junction_names.index(junction)]
+        """A junction's phase; names resolve by the rule of netlist.match_name (B1 -> X1.B1)."""
+        return self.phases[:, match_name(junction, self.junction_names, "junction")]
 
     def junction_voltage(self, junction: str) -> np.ndarray:
-        p, n = self.junction_nodes[junction]
+        """A junction's voltage; names resolve as in phase."""
+        name = self.junction_names[match_name(junction, self.junction_names, "junction")]
+        p, n = self.junction_nodes[name]
         vp = self.voltages[:, p] if p >= 0 else 0.0
         vn = self.voltages[:, n] if n >= 0 else 0.0
         return vp - vn
@@ -373,15 +386,17 @@ class _Engine:
             theta = phi_hist + a * v
             g_sin = ic_a * np.cos(theta)
             w0 = self.ic * np.sin(theta) + i_hist - g_sin * v
-            try:
-                v = np.linalg.solve(self.eye_j + M * g_sin, u - M @ w0)
-            except np.linalg.LinAlgError as exc:
-                raise StructuralError(f"singular system matrix: {exc}") from exc
+            v = _solve1(self.eye_j + M * g_sin, u - M @ w0)
             x_new = x_lin - P @ (w0 + g_sin * v)
             converged = (np.abs(x_new - x) < self.tol).all()
             x = x_new
             if converged:
                 return x, True
+        # a singular solve returns NaN, and NaN never converges
+        if np.isnan(v).any():
+            raise StructuralError(
+                f"singular system matrix: no unique Newton step from t={self.time:.4e} s"
+            )
         return x, False
 
     def _accept(self, h: float, x_new: np.ndarray) -> None:
@@ -412,13 +427,16 @@ class _Engine:
         self.x = x_new
         self.time += h
 
-    def _at_rest(self, x, phi, jv, jdvdt) -> bool:
-        """Whether the step just taken returned this input state bit for bit."""
-        return (
-            x.tobytes() == self.x.tobytes()
-            and phi.tobytes() == self.phi.tobytes()
-            and jv.tobytes() == self.jv.tobytes()
-            and jdvdt.tobytes() == self.jdvdt.tobytes()
+    def _at_rest(self, *earlier: tuple) -> bool:
+        """Whether the state is one of the earlier (x, phi, jv, jdvdt, event count) bit for bit."""
+        x = self.x.tobytes()
+        return any(
+            e[0].tobytes() == x
+            and e[4] == len(self.events)
+            and e[1].tobytes() == self.phi.tobytes()
+            and e[2].tobytes() == self.jv.tobytes()
+            and e[3].tobytes() == self.jdvdt.tobytes()
+            for e in earlier
         )
 
     def run(self) -> tuple[Waveform, list[PhaseSlipEvent]]:
@@ -435,21 +453,29 @@ class _Engine:
 
         states[0], phases[0] = self.x, self.phi
         i = 1
-        while i <= nsteps:
-            before = self.x, self.phi, self.jv, self.jdvdt
-            last = i  # the last sample this state fills
-            if self._step(dt):
+        back, back_row = None, None  # the state before the last step, and the row it looked up
+        with np.errstate(invalid="ignore"):  # a singular solve's NaN raises in _try_step instead
+            while i <= nsteps:
+                before = self.x, self.phi, self.jv, self.jdvdt, len(self.events)
+                last = i  # the last sample this step fills
                 # a whole step looked the sources up once, at self.time
-                k = bisect_right(self.src_t, self.time) - 1
-                if self.src_hold[k] and self._at_rest(*before):
+                row = bisect_right(self.src_t, self.time) - 1 if self._step(dt) else None
+                states[i], phases[i] = self.x, self.phi
+                # at rest with period 1 or 2: the state of one or two whole steps back on a held row
+                cycle = (before, back) if back_row == row else (before,)
+                if row is not None and self.src_hold[row] and self._at_rest(*cycle):
                     # step j + 1 looks up j * dt + dt; count those before the next breakpoint
-                    nxt = self.src_t[k + 1] if k + 1 < len(self.src_t) else math.inf
+                    nxt = self.src_t[row + 1] if row + 1 < len(self.src_t) else math.inf
                     last += bisect_left(range(i, nsteps), nxt, key=lambda j: j * dt + dt)
-            states[i : last + 1] = self.x
-            phases[i : last + 1] = self.phi
-            # keep the grid exact despite accumulated float addition
-            self.time = last * dt
-            i = last + 1
+                    # samples i+1, i+3, ... repeat the state before the step; i+2, i+4, ... this one
+                    states[i + 1 : last + 1 : 2], phases[i + 1 : last + 1 : 2] = before[:2]
+                    states[i + 2 : last + 1 : 2], phases[i + 2 : last + 1 : 2] = self.x, self.phi
+                    if (last - i) % 2:  # the engine ends in the state of the last sample
+                        self.x, self.phi, self.jv, self.jdvdt = before[:4]
+                back, back_row = before, row
+                # keep the grid exact despite accumulated float addition
+                self.time = last * dt
+                i = last + 1
 
         keep = times >= self.tstart - 1e-18
         wave = Waveform(
@@ -479,15 +505,16 @@ def run_transient(
 
 
 def pulse_area(waveform: Waveform, junction: str, window: tuple[float, float]) -> float:
-    """Trapezoidal integral of a junction's voltage over [t1, t2], in webers."""
+    """Trapezoidal integral of a junction's voltage over [t1, t2], in webers.
+
+    The junction name resolves as in Waveform.phase.
+    """
     t1, t2 = window
     if t1 >= t2:
         raise ValueError("window must satisfy t1 < t2")
     times = waveform.times
     if t1 < times[0] - 1e-18 or t2 > times[-1] + 1e-18:
         raise ValueError("window outside the simulated range")
-    if junction not in waveform.junction_nodes:
-        raise KeyError(junction)
     v = waveform.junction_voltage(junction)
     # interpolate the waveform onto the exact window edges
     grid = np.concatenate(([t1], times[(times > t1) & (times < t2)], [t2]))

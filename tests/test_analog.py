@@ -1,10 +1,11 @@
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from sfqsim import bench, data
+from sfqsim import analog, bench, data
 from sfqsim.analog import (
     NEWTON_ITOL,
     NEWTON_MAX_ITERS,
@@ -12,8 +13,10 @@ from sfqsim.analog import (
     PHI0,
     FluxoidLoop,
     Circuit,
+    SimulationError,
     StructuralError,
     _Engine,
+    _solve1,
     count_fluxons,
     loop_capacity,
     loop_fluxoid,
@@ -57,7 +60,7 @@ def test_pulse_area_window_validation(single_jj):
     wave, _ = single_jj
     with pytest.raises(ValueError):
         pulse_area(wave, "B1", (2e-10, 1e-10))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="'nope' matches nothing"):
         pulse_area(wave, "nope", (0.0, 1e-10))
 
 
@@ -205,6 +208,15 @@ def test_scaled_short_name_is_the_cell_element():
     assert short.ic.tobytes() != base.ic.tobytes()
 
 
+def test_waveform_short_name_is_the_cell_junction():
+    flat = flatten(parse_netlist(data.load_text("ndro_cell_tb.cir")))
+    wave, _ = run_transient(flat, tstop=20e-12)
+    assert wave.phase("B1").tobytes() == wave.phase("X1.B1").tobytes()
+    assert wave.junction_voltage("b1").tobytes() == wave.junction_voltage("X1.B1").tobytes()
+    window = (0.0, 10e-12)
+    assert pulse_area(wave, "B1", window) == pulse_area(wave, "X1.B1", window)
+
+
 @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["Bq", "Iset1"])
 def test_scaled_rejects_non_finite_factors(name, factor):
@@ -217,7 +229,7 @@ def test_scaled_rejects_non_finite_factors(name, factor):
 class _EveryStepEngine(_Engine):
     """Reference run: the same engine with the rest skip off, so it steps every step."""
 
-    def _at_rest(self, *before):
+    def _at_rest(self, *earlier):
         return False
 
 
@@ -242,6 +254,13 @@ _REST_CASES = {
     "write_off_grid": _LOOP.replace("pulse(100.0p ", "pulse(100.05p "),
     # recording starts inside the rest
     "recording_start": _LOOP.replace(".tran 0.1p 250p", ".tran 0.1p 250p 50p"),
+    # one step more, so the period-2 rest ends on the other state of its cycle
+    "stop_one_step_later": _LOOP.replace(".tran 0.1p 250p", ".tran 0.1p 250.1p"),
+    # a scaled value: the period-2 rest starts one step earlier
+    "scaled_icrit": _LOOP.replace("icrit=300u", "icrit=330u"),
+    # the state from before the bump comes back two steps on, but across another source
+    # row, so it starts no period-2 rest
+    "bump_between_rests": "R1 1 0 5\nI1 0 1 pwl(0 0 10.05p 0 10.1p 1u 10.15p 0)\n.tran 0.1p 20p\n",
 }
 
 
@@ -265,15 +284,50 @@ def test_rest_skip_is_bit_identical_to_stepping_every_step(text):
 
 @pytest.mark.parametrize(
     "text, steps, most",
-    # the loop rests until its write at 100 ps, so 999 of its steps need no Newton step
-    [(_LOOP, 2500, 1502), (_SOURCE_FREE, 1000, 1)],
-    ids=["storage_loop_tb", "source_free"],
+    # the storage loops rest with period 1 before their writes and with period 2 after
+    # them; the MCG has two stretches of period-2 rest
+    [
+        (_LOOP, 2500, 427),
+        (data.load_text("mndro_loop_tb.cir"), 4500, 1318),
+        (data.load_text("mcg_tb.cir"), 2500, 1323),
+        (_SOURCE_FREE, 1000, 1),
+    ],
+    ids=["storage_loop_tb", "mndro_loop_tb", "mcg_tb", "source_free"],
 )
 def test_rest_skip_skips_the_steps_at_rest(text, steps, most):
     engine = _CountingEngine(Circuit.from_netlist(flatten(parse_netlist(text))))
     wave, _ = engine.run()
     assert len(wave.times) == steps + 1
     assert 1 <= engine.tries <= most
+
+
+def test_singular_newton_matrix_raises_without_a_warning():
+    flat = flatten(parse_netlist(data.load_text("single_jj_tb.cir")))
+    engine = _Engine(Circuit.from_netlist(flat))
+    P, M, Q, S = engine._system(engine.dt)
+    engine.eye_j = np.zeros_like(engine.eye_j)
+    engine.systems[engine.dt] = (P, np.zeros_like(M), Q, S)  # I + M diag(g) is now all zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match="singular system matrix"):
+            engine.run()
+
+
+def test_newton_that_never_converges_halves_to_the_floor(monkeypatch):
+    monkeypatch.setattr(analog, "NEWTON_MAX_ITERS", 0)
+    with pytest.raises(SimulationError) as info:
+        run_transient(Circuit.from_netlist(flatten(parse_netlist(_LOOP))))
+    assert info.value.time == 0.0
+
+
+@pytest.mark.parametrize("nj", range(1, 13))
+def test_solve_gufunc_matches_numpy_solve_bit_for_bit(nj):
+    # the Newton loop calls the gufunc inside np.linalg.solve, which numpy does not export
+    rng = np.random.default_rng(nj)
+    for _ in range(20):
+        a = np.eye(nj) + 0.3 * rng.standard_normal((nj, nj)) / math.sqrt(nj)
+        b = rng.standard_normal(nj)
+        assert _solve1(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
 
 
 class _FullSpaceEngine(_Engine):
