@@ -21,7 +21,6 @@ from sfqsim.netlist import flatten, parse_netlist
 from sfqsim.oracle import check_trace
 from sfqsim.waveio import read_schedule, write_events
 
-ANALOG_ELEMENTS = {"write_amp": "Iset1", "quantizer_ic": "Bq"}  # margin parameter -> element
 CELL_LOOP = ["L2", "L6", "B6", "B7", "B1"]  # B1-L2-L6-B6-B7, in walk order
 AFTER_SET = 180e-12  # the cells' set pulse is at 100 ps, their first clock at 200 ps
 
@@ -58,23 +57,42 @@ def analog_summaries():
     print(f"== JTL chain\n   {n_in} pulses in, {n_out} pulses out")
 
 
+def analog_margins(title, flat, params, judge):
+    """Print the margins of one testbench; return the critical margin.
+
+    `params` maps a margin name to (the element it scales, its nominal value). A point
+    runs one transient of the scaled circuit and passes when judge(wave, events) holds.
+    """
+    base = Circuit.from_netlist(flat)
+
+    def passes(factors):
+        return judge(*run_transient(base.scaled({params[p][0]: f for p, f in factors.items()})))
+
+    nominals = [(name, nominal) for name, (_, nominal) in params.items()]
+    report = margin_sweep(MarginSpec(nominals, passes, (0.5, 2.0), resolution=0.01))
+    print(f"== analog {title} margins\n{render_report(report)}")
+    return report.critical
+
+
 def margins():
     """Print the margin tables; return the critical margin of the analog storage loop."""
     for kind, fname in data.SCHEDULES.items():
         report = margin_sweep(timing_spec(kind, read_schedule(data.load_text(fname)).events))
         print(f"== behavioral {kind}\n{render_report(report)}")
     flat = flatten(parse_netlist(bench.storage_loop_tb(n_sets=1)))
-    base = Circuit.from_netlist(flat)
     loop = FluxoidLoop.from_names(flat, bench.STORAGE_LOOP_NAMES)
-
-    def write_stores_one(factors):
-        wave, _ = run_transient(base.scaled({ANALOG_ELEMENTS[p]: f for p, f in factors.items()}))
-        return count_fluxons(wave.state_at(float(wave.times[-1])), loop) == 1
-
-    nominals = [("write_amp", bench.LOOP_WRITE_SINGLE_UA * 1e-6), ("quantizer_ic", 300e-6)]
-    report = margin_sweep(MarginSpec(nominals, write_stores_one, (0.5, 2.0), resolution=0.01))
-    print(f"== analog storage-loop write margins\n{render_report(report)}")
-    return report.critical
+    write = {"write_amp": ("Iset1", bench.LOOP_WRITE_SINGLE_UA * 1e-6),
+             "quantizer_ic": ("Bq", 300e-6)}
+    single = analog_margins(
+        "storage-loop write", flat, write,
+        lambda wave, _: count_fluxons(wave.state_at(float(wave.times[-1])), loop) == 1,
+    )
+    drive = {"mcg_drive": ("Iin", bench.MCG_DRIVE_UA * 1e-6)}
+    analog_margins(
+        "pulse-multiplier drive", flatten(parse_netlist(bench.mcg_tb())), drive,
+        lambda _, events: sum(e.junction == bench.MCG_OUTPUT_JUNCTION for e in events) == 3,
+    )
+    return single
 
 
 def cell(fname):

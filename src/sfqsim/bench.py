@@ -4,8 +4,7 @@ These generate the netlist text behind the shipped .cir data files
 (scripts/make_testbenches.py freezes them) and let tests and experiments vary
 stimulus counts. A value variant is not new text: compile the testbench once
 with analog.Circuit.from_netlist and vary it with Circuit.scaled, as the
-drive scans in scripts/tune_jtl.py and scripts/tune_mcg.py and the analog
-margins in scripts/claims.py do. The set/reset cell topologies are
+analog margins in scripts/claims.py do. The set/reset cell topologies are
 reconstructions, since only element values and the storage-loop membership
 are published for the originals; they neither store nor read.
 """
@@ -32,7 +31,9 @@ MNDRO_PARAMS = dict(
     R1=5.42, R2=7.59, R3=10.34, R4=8.67, R5=9.17,
 )
 
-# storage-loop write drive (see scripts/tune_jtl.py and the loop scans)
+# stimulus drives; scripts/claims.py prints the storage-loop write and multiplier
+# drive margins around them, and acceptance criterion 8 pins the JTL drive carrying
+# every pulse
 LOOP_WRITE_SINGLE_UA = 480
 LOOP_WRITE_MULTI_UA = 515
 LOOP_WRITE_WIDTH_PS = 8
@@ -133,9 +134,10 @@ STORAGE_LOOP_NAMES = ["Ls", "Bq", "Bin"]  # traversal order for fluxoid counting
 def mcg_tb() -> str:
     """Threshold-gate pulse multiplier tuned to emit 3 output slips on B3.
 
-    The drive window for exactly three pulses spans roughly 480..580 uA at
-    this width; the output count tracks the time the input stays above the
-    threshold set by the B1/B2 critical currents.
+    The drive window for exactly three pulses spans 0.906..1.156 x 520 uA
+    (471..601 uA) at this width, as the scripts/claims.py margins print; the
+    output count tracks the time the input stays above the threshold set by
+    the B1/B2 critical currents.
     """
     lines = [
         "* multiple-pulse generator testbench (DC-to-SFQ style threshold gate)",

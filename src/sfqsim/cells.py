@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 PS = 1e-12
@@ -41,17 +41,10 @@ class CellTimings:
     cbu_dead_time: float = 2e-12
 
     def __post_init__(self):
-        for name in (
-            "jtl_delay",
-            "spl_delay",
-            "cbu_delay",
-            "mem_delay",
-            "mcg_spacing",
-            "cbu_dead_time",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
-                raise CircuitError(f"{name} must be positive and finite")
+                raise CircuitError(f"{f.name} must be positive and finite")
 
     @property
     def feedback_delay(self) -> float:
@@ -203,27 +196,14 @@ BUILTIN_CIRCUITS = {
 }
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    time: float
-    cell: str
-    port: str
-    state_before: int
-    state_after: int
-
-
 @dataclass
 class SimResult:
     outputs: list[PulseEvent]
-    trace: list[TraceRecord]
     warnings: list[str]
 
 
 def simulate(
-    circuit: BehavioralCircuit,
-    schedule: list[PulseEvent],
-    tstop: float | None = None,
-    record_trace: bool = False,
+    circuit: BehavioralCircuit, schedule: list[PulseEvent], tstop: float | None = None
 ) -> SimResult:
     """Run the deterministic event queue over external input pulses.
 
@@ -274,7 +254,6 @@ def simulate(
         if cell.kind == "CBU"
     }
     outputs: list[PulseEvent] = []
-    trace: list[TraceRecord] = []
 
     def emit(time: float, cell: str, out_port: str) -> None:
         key = (cell, out_port)
@@ -293,8 +272,6 @@ def simulate(
         if time >= tstop:
             break
         cell = circuit.cells[cell_name]
-        before = mem_state.get(cell_name, 0)
-
         if cell.kind == "JTL":
             emit(time + t.jtl_delay, cell_name, "out")
         elif cell.kind == "SPL":
@@ -322,13 +299,8 @@ def simulate(
         else:
             raise CircuitError(f"unknown cell kind {cell.kind!r}")
 
-        if record_trace:
-            trace.append(
-                TraceRecord(time, cell_name, port, before, mem_state.get(cell_name, 0))
-            )
-
     outputs.sort(key=lambda e: e.time)
-    return SimResult(outputs=outputs, trace=trace, warnings=warnings)
+    return SimResult(outputs=outputs, warnings=warnings)
 
 
 def scaled_timings(base: CellTimings, factors: dict[str, float]) -> CellTimings:

@@ -97,8 +97,9 @@ def compare_trace(
 
     A pulse belongs to the latest clock at or before it, however long after
     that clock it lands, so spurious outputs fail the comparison; a pulse
-    before the first clock is reported against clock 0 as a negative count.
-    The clocks must be at least MIN_CLOCK_SPACING apart.
+    before the first clock, or any pulse when there are no clocks, is
+    reported against clock 0 as a negative count. The clocks must be at
+    least MIN_CLOCK_SPACING apart.
     """
     if len(expected_counts) != len(clock_times):
         raise ValueError("one expected count per clock time is required")
@@ -111,8 +112,9 @@ def compare_trace(
             stray_before_first += 1
         else:
             counts[idx] += 1
-    if stray_before_first and clock_times:
-        return Verdict(False, 0, expected_counts[0], -stray_before_first)
+    if stray_before_first:
+        expected = expected_counts[0] if clock_times else 0
+        return Verdict(False, 0, expected, -stray_before_first)
     for i, (want, got) in enumerate(zip(expected_counts, counts)):
         if want != got:
             return Verdict(False, i, want, got)
@@ -122,11 +124,14 @@ def compare_trace(
 def trace_checker(kind: str, schedule: list[PulseEvent]) -> Callable[[list[PulseEvent]], Verdict]:
     """Run the reference machine over an input schedule once; return its judge.
 
-    Each input port names its symbol (set -> SET, ...) and the clock times are
-    those of the CLK pulses. Raises ValueError for an unknown kind or symbol,
-    or for clocks closer than MIN_CLOCK_SPACING, before anything is compared. The
-    returned function checks the output pulses of one run of the schedule.
+    The machine reads the pulses in time order, as `simulate` runs them;
+    pulses at equal times keep their list order. Each input port names its
+    symbol (set -> SET, ...) and the clock times are those of the CLK pulses.
+    Raises ValueError for an unknown kind or symbol, or for clocks closer than
+    MIN_CLOCK_SPACING, before anything is compared. The returned function
+    checks the output pulses of one run of the schedule.
     """
+    schedule = sorted(schedule, key=lambda e: e.time)
     symbols = [e.port.upper() for e in schedule]
     expected = [count for _, count in run_oracle(kind, symbols)]
     clocks = [e.time for e, sym in zip(schedule, symbols) if sym == "CLK"]

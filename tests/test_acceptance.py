@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import oracle_matches, random_symbols, schedule_from_symbols
+from conftest import oracle_matches, random_symbols
 from sfqsim import bench, data
 from sfqsim.analog import (
     PHI0,
@@ -21,6 +21,7 @@ from sfqsim.analog import (
 from sfqsim.cells import (
     CellTimings,
     CircuitError,
+    PulseEvent,
     build_mndro,
     build_ndro,
     simulate,
@@ -119,17 +120,19 @@ def test_criterion_5_ten_gigahertz_and_composition_limit():
 def test_criterion_6_feedback_timing_and_overhead():
     circuit = build_ndro()
     assert circuit.feedback_jj_count() == 12
-    result = simulate(
-        circuit,
-        schedule_from_symbols(["SET", "CLK"]),
-        tstop=1e-9,
-        record_trace=True,
-    )
-    clk = next(r.time for r in result.trace if r.cell == "mem" and r.port == "clk")
-    reload_ = next(
-        r.time for r in result.trace if r.cell == "mem" and r.port == "set" and r.time > clk
-    )
-    assert reload_ - clk == circuit.timings.mem_delay + 10.5e-12
+    # a clock empties the memory and the reload refills it mem_delay + 10.5 ps later:
+    # a reset just before the reload is undone, so the next clock reads again; a reset
+    # just after it clears the memory, so the next clock is silent
+    for clk in (120 * PS, 220 * PS, 1234.567 * PS):
+        reload_ = clk + circuit.timings.mem_delay + 10.5e-12
+        for offset, reads in ((-1e-18, 2), (1e-18, 1)):
+            schedule = [
+                PulseEvent(20 * PS, "set"),
+                PulseEvent(clk, "clk"),
+                PulseEvent(reload_ + offset, "rst"),
+                PulseEvent(clk + 100 * PS, "clk"),
+            ]
+            assert len(simulate(circuit, schedule).outputs) == reads, (clk, offset)
     verdict(6, "reload = mem_delay + 10.5 ps, 12 JJ overhead")
 
 

@@ -66,6 +66,17 @@ def test_oracle_detects_mismatch(tmp_path, capsys):
     assert out.startswith("FAIL clk=")
 
 
+def test_oracle_fails_output_pulses_of_a_schedule_without_clocks(tmp_path, capsys):
+    sched = tmp_path / "set_only.sched"
+    sched.write_text("port set\npulse set 100\n")
+    events = tmp_path / "stray.events"
+    events.write_text("pulse out 150\n")
+    argv = ["oracle", "--kind", "ndro", "--schedule", str(sched), "--events", str(events)]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    assert out.strip() == "FAIL clk=0 expected=0 observed=-1"
+
+
 def test_missing_netlist_is_input_error(capsys):
     code, _, err = run(["tran", "missing.cir"], capsys)
     assert code == 2

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sfqsim.cells import PulseEvent
+from sfqsim.cells import PulseEvent, build_ndro, simulate
+from sfqsim.margin import margin_sweep, timing_spec
 from sfqsim.oracle import (
     MNDRO_DECREMENT,
     MNDRO_RESET,
@@ -156,3 +157,20 @@ def test_compare_trace_counts_stray_pulses_against_their_clock():
 def test_compare_trace_flags_pulses_before_first_clock():
     verdict = compare_trace([1], _events([50.0, 107.5]), [100e-12])
     assert not verdict.passed
+
+
+def test_compare_trace_fails_pulses_when_there_are_no_clocks():
+    assert compare_trace([], [], []).passed
+    verdict = compare_trace([], _events([150.0, 170.0]), [])
+    assert str(verdict) == "FAIL clk=0 expected=0 observed=-2"
+
+
+def test_check_trace_reads_the_schedule_in_time_order():
+    # the list has the clock first, but the set pulse comes 100 ps before it
+    schedule = [PulseEvent(200e-12, "clk"), PulseEvent(100e-12, "set")]
+    outputs = simulate(build_ndro(), schedule).outputs
+    assert check_trace(NDRO, schedule, outputs).passed
+    assert margin_sweep(timing_spec(NDRO, schedule)).critical.margin_percent > 0
+    # equal times keep the list order: the set pulse reaches the memory a CBU delay late
+    same_time = [PulseEvent(200e-12, "clk"), PulseEvent(200e-12, "set")]
+    assert check_trace(NDRO, same_time, simulate(build_ndro(), same_time).outputs).passed
